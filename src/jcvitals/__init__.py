@@ -8,7 +8,7 @@ from .channel import ClutterPoint, Scene, SceneTarget, SlowFastMatrix, max_unamb
 from .physio import DisplacementTrace, Segment, VitalParams, synthesize_displacement, walking_trajectory
 from .pipeline import ProcessingConfig, ProcessResult, process_capture, process_with_subcarriers
 from .ranging import RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series, to_range_profiles
-from .receiver import ChannelFrameSeries, average_channel, average_slow_time, estimate_channel
+from .receiver import ChannelFrameSeries, average_slow_time, estimate_channel
 from .vitals import (
     PhaseTrack,
     VitalsConfig,
@@ -39,7 +39,6 @@ __all__ = [
     "VitalsConfig",
     "VitalsEstimate",
     "WaveformSpec",
-    "average_channel",
     "average_slow_time",
     "bandpass",
     "build_waveform",

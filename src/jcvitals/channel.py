@@ -135,37 +135,18 @@ def simulate_capture(
         if len(t.trace.samples) < n_frames:
             raise ValueError("target trace shorter than n_frames")
 
-    f_rf = spec.carrier_frequency_hz + spec.baseband_frequencies_hz()  # (A,)
-    active = spec.active_indices
-    x_active = symbol.freq_domain[active]
-
-    max_delay = spec.pulse_duration_s
-    transfer = np.zeros((n_frames, active.size), dtype=complex)
-    target_power = []
-    for target in scene.targets:
-        tau = _round_trip_delays(scene, target, n_frames)  # (N,)
-        if tau.max() > max_delay:
-            raise ValueError(
-                f"target at {target.rest_range_m} m exceeds the unambiguous "
-                f"range {max_unambiguous_range(spec):.1f} m (aliased delay)"
-            )
-        transfer += target.amplitude * np.exp(-2j * np.pi * np.outer(tau, f_rf))
-        # flat band: every frame of this return carries the same mean power
-        target_power.append(active.size * target.amplitude**2 / spec.samples_per_pulse)
-    for clutter in scene.static_clutter:
-        tau_c = 2.0 * (clutter.range_m + scene.cable_delay_range_m) / SPEED_OF_LIGHT
-        if tau_c > max_delay:
-            raise ValueError("clutter beyond the unambiguous range")
-        transfer += clutter.amplitude * np.exp(-2j * np.pi * tau_c * f_rf)
-
+    transfer = analytic_transfer(scene, spec, n_frames)
     grid = np.zeros((n_frames, spec.samples_per_pulse), dtype=complex)
-    grid[:, spec.active_bins % spec.samples_per_pulse] = x_active * transfer
+    grid[:, spec.active_bins % spec.samples_per_pulse] = symbol.freq_domain[spec.active_indices] * transfer
     frames = np.fft.ifft(grid, axis=1) * math.sqrt(spec.samples_per_pulse)
 
     if scene.snr_db is not None and math.isfinite(scene.snr_db):
-        if not target_power:
+        if not scene.targets:
             raise ValueError("snr_db needs at least one target as power reference")
-        noise_power = max(target_power) / 10.0 ** (scene.snr_db / 10.0)
+        # flat band: every frame of a return carries the same mean power
+        strongest = max(t.amplitude for t in scene.targets)
+        target_power = spec.active_count * strongest**2 / spec.samples_per_pulse
+        noise_power = target_power / 10.0 ** (scene.snr_db / 10.0)
         rng = np.random.default_rng(rng_seed)
         sigma = math.sqrt(noise_power / 2.0)
         frames = frames + sigma * (
@@ -178,14 +159,23 @@ def simulate_capture(
 def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.ndarray:
     """Noise-free channel transfer function on the active band, per frame.
 
-    Reference for round-trip tests: what a perfect estimator should recover.
+    The one propagation model: ``simulate_capture`` modulates it onto the
+    pulse, and round-trip tests use it as what a perfect estimator recovers.
     """
-    f_rf = spec.carrier_frequency_hz + spec.baseband_frequencies_hz()
+    f_rf = spec.carrier_frequency_hz + spec.baseband_frequencies_hz()  # (A,)
+    max_delay = spec.pulse_duration_s
     transfer = np.zeros((n_frames, spec.active_count), dtype=complex)
     for target in scene.targets:
-        tau = _round_trip_delays(scene, target, n_frames)
+        tau = _round_trip_delays(scene, target, n_frames)  # (N,)
+        if tau.max() > max_delay:
+            raise ValueError(
+                f"target at {target.rest_range_m} m exceeds the unambiguous "
+                f"range {max_unambiguous_range(spec):.1f} m (aliased delay)"
+            )
         transfer += target.amplitude * np.exp(-2j * np.pi * np.outer(tau, f_rf))
     for clutter in scene.static_clutter:
         tau_c = 2.0 * (clutter.range_m + scene.cable_delay_range_m) / SPEED_OF_LIGHT
+        if tau_c > max_delay:
+            raise ValueError("clutter beyond the unambiguous range")
         transfer += clutter.amplitude * np.exp(-2j * np.pi * tau_c * f_rf)
     return transfer

@@ -17,6 +17,7 @@ from . import __version__
 from .capture_io import CaptureFormatError, read_capture, write_capture
 from .channel import simulate_capture
 from .config import ConfigError, Scenario, config_digest, load_scenario
+from .csv_export import write_csv
 from .pipeline import process_capture, process_with_subcarriers
 from .report import compare_records, render_table
 from .scenarios import describe_scenarios, get_scenario
@@ -116,18 +117,14 @@ def _export_results(result, scenario_id, export_dir: Path, spec, kinds=None):
             tr.track.to_csv(export_dir / f"{stem}_phase.csv")
         if "displacement" in kinds:
             displacement = phase_to_displacement(tr.track, wavelength)
-            with open(export_dir / f"{stem}_displacement.csv", "w") as fh:
-                fh.write("time_s,displacement_m\n")
-                t = np.arange(len(displacement)) / tr.track.sample_rate_hz
-                for ti, di in zip(t, displacement):
-                    fh.write(f"{ti:.6f},{di:.9e}\n")
+            t = np.arange(len(displacement)) / tr.track.sample_rate_hz
+            write_csv(export_dir / f"{stem}_displacement.csv", "time_s,displacement_m",
+                      "{:.6f},{:.9e}", t, displacement)
         if "spectra" in kinds:
             for band in ("br", "hr"):
-                freqs, mags = getattr(tr.estimate, f"{band}_spectrum")
-                with open(export_dir / f"{stem}_{band}_spectrum.csv", "w") as fh:
-                    fh.write("frequency_hz,normalized_magnitude\n")
-                    for fi, mi in zip(freqs, mags):
-                        fh.write(f"{fi:.6f},{mi:.6e}\n")
+                write_csv(export_dir / f"{stem}_{band}_spectrum.csv",
+                          "frequency_hz,normalized_magnitude", "{:.6f},{:.6e}",
+                          *getattr(tr.estimate, f"{band}_spectrum"))
 
 
 def cmd_process(args) -> int:
@@ -302,7 +299,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CaptureFormatError as exc:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import jsonschema
 import numpy as np
@@ -22,6 +22,13 @@ from .waveform import WaveformSpec, select_subcarriers
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message carries the location."""
+
+
+def _given(cls, section: dict) -> dict:
+    """The keys of ``section`` that name fields of ``cls``, JSON lists as
+    tuples; absent keys take the dataclass defaults."""
+    names = {f.name for f in fields(cls)}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items() if k in names}
 
 
 _VITALS_SCHEMA = {
@@ -178,13 +185,7 @@ class Scenario:
 
     def waveform_spec(self) -> WaveformSpec:
         w = self.raw.get("waveform", {})
-        spec = WaveformSpec(
-            carrier_frequency_hz=w.get("carrier_frequency_hz", 26.5e9),
-            num_subcarriers=w.get("num_subcarriers", 1024),
-            subcarrier_spacing_hz=w.get("subcarrier_spacing_hz", 1.0e6),
-            samples_per_pulse=w.get("samples_per_pulse", 2500),
-            pulse_duration_s=w.get("pulse_duration_s", 1.0e-6),
-        )
+        spec = WaveformSpec(**_given(WaveformSpec, w))
         if "active_subcarriers" in w:
             spec = select_subcarriers(spec, w["active_subcarriers"])
         return spec
@@ -226,45 +227,21 @@ class Scenario:
                     schedule=schedule,
                     rng_seed=trace_seed,
                 )
-            targets.append(
-                SceneTarget(
-                    rest_range_m=tc["rest_range_m"],
-                    trace=trace,
-                    reflectivity=tc.get("reflectivity", 0.67),
-                    nlos_attenuation_db=tc.get("nlos_attenuation_db", 0.0),
-                )
-            )
-        clutter = [
-            ClutterPoint(range_m=c["range_m"], amplitude=c["amplitude"])
-            for c in cfg.get("clutter", [])
-        ]
-        return Scene(
-            targets=targets,
-            static_clutter=clutter,
-            cable_delay_range_m=cfg.get("cable_delay_range_m", 0.0),
-            snr_db=cfg.get("snr_db", 20.0),
-        )
+            targets.append(SceneTarget(trace=trace, **_given(SceneTarget, tc)))
+        clutter = [ClutterPoint(**c) for c in cfg.get("clutter", [])]
+        scene = _given(Scene, cfg) | {"targets": targets, "static_clutter": clutter}
+        # a scenario stands for a real receiver, so it is noisy (20 dB) unless
+        # snr_db is null; a bare Scene stays noiseless to isolate propagation
+        scene.setdefault("snr_db", 20.0)
+        return Scene(**scene)
 
     def processing_config(self) -> ProcessingConfig:
         a = self.raw.get("analysis", {})
-        vitals = VitalsConfig(
-            br_band_hz=tuple(a.get("br_band_hz", (0.15, 0.5))),
-            hr_band_hz=tuple(a.get("hr_band_hz", (0.8, 2.0))),
-            zero_pad_factor=a.get("zero_pad_factor", 4),
-            confidence_threshold=a.get("confidence_threshold", VitalsConfig().confidence_threshold),
-            harmonic_tolerance_hz=a.get("harmonic_tolerance_hz", 0.05),
-            min_duration_s=a.get("min_duration_s", 15.0),
-            detrend=a.get("detrend", True),
-        )
         return ProcessingConfig(
             cable_offset_m=self.raw["scene"].get("cable_delay_range_m", 0.0),
             averaging_factor=self.averaging_factor,
-            window=a.get("window"),
-            remove_static_clutter=a.get("remove_static_clutter", False),
-            max_targets=a.get("max_targets", 4),
-            min_prominence_db=a.get("min_prominence_db", 10.0),
-            max_below_peak_db=a.get("max_below_peak_db", 10.0),
-            vitals=vitals,
+            vitals=VitalsConfig(**_given(VitalsConfig, a)),
+            **_given(ProcessingConfig, a),
         )
 
     def ground_truth(self) -> list:

@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
+
+from .csv_export import write_csv
 
 NORMAL = "normal"
 BREATH_HOLD = "breath_hold"
@@ -92,23 +95,14 @@ class DisplacementTrace:
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
 
-    def label_mask(self, label: str) -> np.ndarray:
-        mask = np.zeros(len(self.samples), dtype=bool)
-        for seg in self.segments:
-            if seg.label == label:
-                mask[seg.start : min(seg.end, len(self.samples))] = True
-        return mask
-
     def to_csv(self, path) -> None:
         """Export as (time_s, displacement_m, label) rows."""
         labels = np.array([NORMAL] * len(self.samples), dtype=object)
         for seg in self.segments:
             labels[seg.start : min(seg.end, len(self.samples))] = seg.label
         t = np.arange(len(self.samples)) / self.sample_rate_hz
-        with open(path, "w") as fh:
-            fh.write("time_s,displacement_m,label\n")
-            for ti, di, li in zip(t, self.samples, labels):
-                fh.write(f"{ti:.6f},{di:.9e},{li}\n")
+        write_csv(path, "time_s,displacement_m,label", "{:.6f},{:.9e},{}",
+                  t, self.samples, labels)
 
 
 def _breathing_waveform(params: VitalParams, t: np.ndarray) -> np.ndarray:
@@ -139,17 +133,9 @@ def _heart_waveform(params: VitalParams, t: np.ndarray) -> np.ndarray:
 
 def _breath_gate(hold_mask: np.ndarray, ramp_samples: int) -> np.ndarray:
     """1 where breathing is active, exactly 0 inside holds, with a smooth
-    ramp on the active side of each boundary (a chest does not step)."""
-    n = hold_mask.size
-    distance = np.full(n, n, dtype=float)
-    run = n
-    for i in range(n):  # distance to nearest hold sample, forward pass
-        run = 0 if hold_mask[i] else run + 1
-        distance[i] = run
-    run = n
-    for i in range(n - 1, -1, -1):  # backward pass
-        run = 0 if hold_mask[i] else run + 1
-        distance[i] = min(distance[i], run)
+    ramp on the active side of each boundary (a chest does not step).
+    ``hold_mask`` must mark at least one sample."""
+    distance = distance_transform_edt(~hold_mask)  # samples to the nearest hold
     gate = np.clip(distance / max(ramp_samples, 1), 0.0, 1.0)
     return 0.5 * (1.0 - np.cos(np.pi * gate))
 

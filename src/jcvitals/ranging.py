@@ -7,6 +7,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .constants import SPEED_OF_LIGHT
+from .csv_export import write_csv
 from .receiver import ChannelFrameSeries
 
 _POWER_FLOOR = 1e-300  # keeps log10 finite on exact zeros
@@ -28,11 +29,8 @@ class RangeProfileSeries:
 
     def to_csv(self, path) -> None:
         """Export the slow-time-averaged profile as (range_m, power_db)."""
-        power = self.mean_power_db()
-        with open(path, "w") as fh:
-            fh.write("range_m,power_db\n")
-            for r, p in zip(self.range_axis_m, power):
-                fh.write(f"{r:.4f},{p:.3f}\n")
+        write_csv(path, "range_m,power_db", "{:.4f},{:.3f}",
+                  self.range_axis_m, self.mean_power_db())
 
 
 @dataclass

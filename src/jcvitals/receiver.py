@@ -1,5 +1,5 @@
 """Per-frame channel transfer function and impulse response estimation,
-plus coherent slow-time averaging."""
+plus coherent slow-time averaging of the raw frames."""
 from __future__ import annotations
 
 import logging
@@ -30,20 +30,10 @@ class ChannelFrameSeries:
     impulse: np.ndarray
     frame_rate_hz: float
     spec: WaveformSpec
-    window: str | None = None
 
     @property
     def n_frames(self) -> int:
         return self.transfer.shape[0]
-
-
-def _impulse_from_transfer(transfer: np.ndarray, spec: WaveformSpec, window: str | None) -> np.ndarray:
-    rows = transfer
-    if window is not None:
-        rows = rows * get_window(window, spec.active_count, fftbins=True)
-    grid = np.zeros((rows.shape[0], spec.samples_per_pulse), dtype=complex)
-    grid[:, spec.active_bins % spec.samples_per_pulse] = rows
-    return np.fft.ifft(grid, axis=1)
 
 
 def estimate_channel(
@@ -81,49 +71,29 @@ def estimate_channel(
         )
 
     spectra = np.fft.fft(capture.frames, axis=1) / math.sqrt(spec.samples_per_pulse)
-    transfer = spectra[:, spec.active_bins % spec.samples_per_pulse] / x_active
-    impulse = _impulse_from_transfer(transfer, spec, window)
+    bins = spec.active_bins % spec.samples_per_pulse
+    transfer = spectra[:, bins] / x_active
+    grid = np.zeros((capture.n_frames, spec.samples_per_pulse), dtype=complex)
+    grid[:, bins] = transfer if window is None else transfer * get_window(window, spec.active_count)
     return ChannelFrameSeries(
         transfer=transfer,
-        impulse=impulse,
+        impulse=np.fft.ifft(grid, axis=1),
         frame_rate_hz=capture.frame_rate_hz,
         spec=spec,
-        window=window,
     )
-
-
-def _blocks(n: int, factor: int) -> int:
-    if factor < 1:
-        raise ValueError("averaging factor must be >= 1")
-    if factor > n:
-        raise ValueError(f"averaging factor {factor} exceeds frame count {n}")
-    blocks = n // factor
-    dropped = n - blocks * factor
-    if dropped:
-        log.warning("slow-time averaging drops %d trailing frame(s)", dropped)
-    return blocks
 
 
 def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:
     """Coherent mean of each block of ``factor`` raw frames."""
     if factor == 1:
         return capture
-    blocks = _blocks(capture.n_frames, factor)
+    n = capture.n_frames
+    if factor < 1:
+        raise ValueError("averaging factor must be >= 1")
+    if factor > n:
+        raise ValueError(f"averaging factor {factor} exceeds frame count {n}")
+    blocks, dropped = divmod(n, factor)
+    if dropped:
+        log.warning("slow-time averaging drops %d trailing frame(s)", dropped)
     frames = capture.frames[: blocks * factor].reshape(blocks, factor, -1).mean(axis=1)
     return replace(capture, frames=frames, frame_rate_hz=capture.frame_rate_hz / factor)
-
-
-def average_channel(series: ChannelFrameSeries, factor: int) -> ChannelFrameSeries:
-    """Same block averaging applied to channel estimates instead of raw frames."""
-    if factor == 1:
-        return series
-    blocks = _blocks(series.n_frames, factor)
-    transfer = series.transfer[: blocks * factor].reshape(blocks, factor, -1).mean(axis=1)
-    impulse = _impulse_from_transfer(transfer, series.spec, series.window)
-    return ChannelFrameSeries(
-        transfer=transfer,
-        impulse=impulse,
-        frame_rate_hz=series.frame_rate_hz / factor,
-        spec=series.spec,
-        window=series.window,
-    )

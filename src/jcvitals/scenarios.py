@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 
-from .config import Scenario, validate_scenario
+from .config import ConfigError, Scenario, validate_scenario
 
 _BASE_ANALYSIS = {
     "br_band_hz": [0.15, 0.5],
@@ -226,7 +226,7 @@ def scenario_ids() -> list:
 def get_scenario(scenario_id: str, seed: int | None = None) -> Scenario:
     """A built-in scenario by id, optionally with an overridden seed."""
     if scenario_id not in _LIBRARY:
-        raise KeyError(
+        raise ConfigError(
             f"unknown scenario {scenario_id!r}; available: {', '.join(scenario_ids())}"
         )
     cfg = copy.deepcopy(_LIBRARY[scenario_id])

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.signal import detrend as _linear_detrend
 from scipy.signal import find_peaks, get_window
 
+from .csv_export import write_csv
+
 
 @dataclass(eq=False)
 class PhaseTrack:
@@ -30,10 +32,7 @@ class PhaseTrack:
 
     def to_csv(self, path) -> None:
         t = np.arange(len(self.unwrapped_phase)) / self.sample_rate_hz
-        with open(path, "w") as fh:
-            fh.write("time_s,phase_rad\n")
-            for ti, pi in zip(t, self.unwrapped_phase):
-                fh.write(f"{ti:.6f},{pi:.9e}\n")
+        write_csv(path, "time_s,phase_rad", "{:.6f},{:.9e}", t, self.unwrapped_phase)
 
 
 @dataclass
@@ -89,7 +88,7 @@ class VitalsEstimate:
         }
 
 
-def phase_track(bin_series: np.ndarray, sample_rate_hz: float, detrend: bool = False) -> PhaseTrack:
+def phase_track(bin_series: np.ndarray, sample_rate_hz: float) -> PhaseTrack:
     """Unwrapped argument of the slow-time series at one range bin.
 
     Zero-magnitude samples carry no phase; they inherit the previous sample's
@@ -106,13 +105,9 @@ def phase_track(bin_series: np.ndarray, sample_rate_hz: float, detrend: bool = F
         filled = np.where(zero, -1, idx)
         np.maximum.accumulate(filled, out=filled)
         raw = np.where(filled >= 0, raw[np.maximum(filled, 0)], 0.0)
-    unwrapped = np.unwrap(raw)
-    if detrend:
-        unwrapped = _linear_detrend(unwrapped, type="linear")
     return PhaseTrack(
         sample_rate_hz=sample_rate_hz,
-        unwrapped_phase=unwrapped,
-        detrended=detrend,
+        unwrapped_phase=np.unwrap(raw),
         zero_sample_count=count,
     )
 

@@ -83,6 +83,12 @@ class TestSimulateCapture:
         with pytest.raises(ValueError, match="unambiguous"):
             simulate_capture(scene, small_symbol, small_spec, n_frames=4)
 
+    def test_analytic_transfer_rejects_aliased_returns(self, small_spec):
+        with pytest.raises(ValueError, match="unambiguous"):
+            analytic_transfer(Scene(targets=[static_target(200.0, 4)]), small_spec, 4)
+        with pytest.raises(ValueError, match="unambiguous"):
+            analytic_transfer(Scene(static_clutter=[ClutterPoint(200.0, 0.5)]), small_spec, 4)
+
     def test_trace_too_short_rejected(self, small_spec, small_symbol):
         scene = Scene(targets=[static_target(2.0, 4)])
         with pytest.raises(ValueError, match="shorter"):

@@ -73,6 +73,22 @@ class TestSimulate:
         code, _, stderr = run_cli(capsys, "simulate", "--output", str(tmp_path / "x.jcv"))
         assert code == 1
 
+    def test_unknown_scenario_is_config_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", "does_not_exist",
+                                  "--output", str(tmp_path / "x.jcv"))
+        assert code == 1
+        assert "config error" in stderr
+
+    def test_key_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
+        # a KeyError is a programming bug, not a user's config error
+        def broken(*_args, **_kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("jcvitals.cli.simulate_capture", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["simulate", "--scenario", "sitting_still_2m",
+                  "--output", str(tmp_path / "x.jcv")])
+
     def test_builtin_scenario_seed_override(self, tmp_path, capsys):
         out = tmp_path / "s.jcv"
         code, stdout, _ = run_cli(capsys, "simulate", "--scenario", "holding_breath",

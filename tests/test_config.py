@@ -1,10 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from jcvitals.config import ConfigError, config_digest, load_scenario, validate_scenario
+from jcvitals.channel import Scene, SceneTarget
+from jcvitals.config import SCENARIO_SCHEMA, ConfigError, config_digest, load_scenario, validate_scenario
+from jcvitals.pipeline import ProcessingConfig
 from jcvitals.scenarios import describe_scenarios, get_scenario, scenario_ids
+from jcvitals.vitals import VitalsConfig
+from jcvitals.waveform import WaveformSpec
 
 
 def minimal_config(**overrides):
@@ -119,6 +124,66 @@ class TestSceneConstruction:
         assert config_digest(a) == config_digest(b)
 
 
+def _field_names(*classes):
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+class TestDefaultsFromDataclasses:
+    # the built objects take every key the config gives and leave the rest
+    # to the dataclass defaults; a key no field carries would vanish silently
+    def test_schema_keys_name_dataclass_fields(self):
+        props = SCENARIO_SCHEMA["properties"]
+        analysis = set(props["analysis"]["properties"]) - {"subcarrier_counts"}
+        assert analysis <= _field_names(ProcessingConfig, VitalsConfig)
+        waveform = set(props["waveform"]["properties"]) - {"active_subcarriers"}
+        assert waveform <= _field_names(WaveformSpec)
+        scene = set(props["scene"]["properties"]) - {"targets", "clutter"}
+        assert scene <= _field_names(Scene)
+        target = set(props["scene"]["properties"]["targets"]["items"]["properties"])
+        assert target - {"walking_speed_m_s", "vitals", "schedule"} <= _field_names(SceneTarget)
+
+    def test_every_analysis_key_reaches_the_built_objects(self):
+        analysis = {
+            "br_band_hz": [0.12, 0.55],
+            "hr_band_hz": [0.75, 2.2],
+            "zero_pad_factor": 8,
+            "confidence_threshold": 0.05,
+            "harmonic_tolerance_hz": 0.04,
+            "min_duration_s": 10.0,
+            "detrend": False,
+            "window": "hann",
+            "remove_static_clutter": True,
+            "max_targets": 2,
+            "min_prominence_db": 8.0,
+            "max_below_peak_db": 12.0,
+        }
+        processing = validate_scenario(minimal_config(analysis=analysis)).processing_config()
+        defaults = ProcessingConfig()
+        for key, value in analysis.items():
+            owner, default = (
+                (processing.vitals, defaults.vitals)
+                if hasattr(defaults.vitals, key)
+                else (processing, defaults)
+            )
+            expected = tuple(value) if isinstance(value, list) else value
+            assert getattr(default, key) != expected, key
+            assert getattr(owner, key) == expected, key
+
+    def test_minimal_config_gives_dataclass_defaults(self):
+        cfg = minimal_config()
+        del cfg["scene"]["snr_db"]
+        scenario = validate_scenario(cfg)
+        assert scenario.processing_config() == ProcessingConfig()
+        assert scenario.waveform_spec() == WaveformSpec()
+        scene = scenario.build_scene()
+        trace = scene.targets[0].trace
+        assert scene.targets[0] == SceneTarget(rest_range_m=2.0, trace=trace)
+        assert scene.cable_delay_range_m == Scene().cable_delay_range_m
+        # the one deliberate difference: a scenario is noisy unless told otherwise
+        assert Scene().snr_db is None
+        assert scene.snr_db == 20.0
+
+
 class TestScenarioLibrary:
     def test_all_builtins_validate(self):
         for sid in scenario_ids():
@@ -143,7 +208,7 @@ class TestScenarioLibrary:
         assert expected_flavors <= ids
 
     def test_unknown_id_raises(self):
-        with pytest.raises(KeyError, match="unknown scenario"):
+        with pytest.raises(ConfigError, match="unknown scenario"):
             get_scenario("does_not_exist")
 
     def test_seed_override(self):

@@ -9,6 +9,7 @@ from jcvitals.physio import (
     NORMAL,
     Segment,
     VitalParams,
+    _breath_gate,
     synthesize_displacement,
     walking_trajectory,
 )
@@ -123,6 +124,20 @@ def test_spectral_ground_truth_property(br, hr, seed):
     hr_line, _ = dominant_line_hz(trace.samples, 50.0, (0.7, 3.0))
     assert br_line == pytest.approx(br, abs=0.03)
     assert hr_line == pytest.approx(hr, abs=0.03)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hold=st.lists(st.booleans(), min_size=1, max_size=300).filter(any),
+    ramp=st.integers(min_value=0, max_value=400),
+)
+def test_breath_gate_matches_brute_force_distance(hold, ramp):
+    hold = np.array(hold)
+    holds = np.flatnonzero(hold)
+    distance = np.array([np.abs(holds - i).min() for i in range(hold.size)], dtype=float)
+    gate = np.clip(distance / max(ramp, 1), 0.0, 1.0)
+    expected = 0.5 * (1.0 - np.cos(np.pi * gate))
+    assert np.array_equal(_breath_gate(hold, ramp), expected)
 
 
 class TestWalking:
