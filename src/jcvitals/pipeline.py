@@ -68,8 +68,11 @@ def process_capture(
         symbol = build_waveform(capture.spec)
     if config.averaging_factor > 1:
         capture = average_slow_time(capture, config.averaging_factor)
+    return _analyze(estimate_channel(capture, symbol, window=config.window), config)
 
-    series = estimate_channel(capture, symbol, window=config.window)
+
+def _analyze(series: ChannelFrameSeries, config: ProcessingConfig) -> ProcessResult:
+    """Detection, phase tracking and vitals from one channel estimate."""
     profiles = to_range_profiles(
         series, cable_offset_m=config.cable_offset_m, remove_static=config.remove_static_clutter
     )
@@ -99,13 +102,19 @@ def process_with_subcarriers(
 
     The same recorded frames (same noise realization) are analyzed per count,
     which isolates the effect of occupied bandwidth, keeping the central
-    frequency fixed.
+    frequency fixed. The capture is averaged and its channel estimated once,
+    at the widest count; centred masks are nested, so each count reads a
+    column sub-range of that transfer. Each result is bit-identical to
+    ``process_capture`` on the capture relabelled with that count's mask.
     """
+    config = config or ProcessingConfig()
     if symbol is None:
         symbol = build_waveform(capture.spec)
-    results = {}
-    for count in counts:
-        narrowed = select_subcarriers(capture.spec, count)
-        sub_capture = replace(capture, spec=narrowed)
-        results[count] = process_capture(sub_capture, symbol=symbol, config=config)
-    return results
+    specs = {count: select_subcarriers(capture.spec, count) for count in counts}
+    if not specs:
+        return {}
+    if config.averaging_factor > 1:
+        capture = average_slow_time(capture, config.averaging_factor)
+    widest = max(specs.values(), key=lambda spec: spec.active_count)
+    series = estimate_channel(replace(capture, spec=widest), symbol, window=config.window)
+    return {count: _analyze(series.narrowed(spec), config) for count, spec in specs.items()}

@@ -15,17 +15,26 @@ _POWER_FLOOR = 1e-300  # keeps log10 finite on exact zeros
 
 @dataclass(eq=False)
 class RangeProfileSeries:
-    """Impulse-response magnitudes on a calibrated range axis."""
+    """Slow-time mean power of the impulse response on a calibrated range axis.
+
+    ``mean_power`` (P) is mean |h|^2 per range bin over the frames, after
+    static-clutter removal when ``remove_static``. ``profiles`` (N x P |h|) is
+    built from ``series`` on each access; the receive chain never reads it.
+    """
 
     range_axis_m: np.ndarray
-    profiles: np.ndarray  # N x P, |h|
+    mean_power: np.ndarray
     range_resolution_m: float
     bin_width_m: float
-    frame_rate_hz: float
+    series: ChannelFrameSeries
+    remove_static: bool = False
+
+    @property
+    def profiles(self) -> np.ndarray:
+        return np.concatenate([np.abs(h) for h in self.series.impulse_chunks(self.remove_static)])
 
     def mean_power_db(self) -> np.ndarray:
-        power = np.mean(self.profiles**2, axis=0)
-        return 10.0 * np.log10(np.maximum(power, _POWER_FLOOR))
+        return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
 
     def to_csv(self, path) -> None:
         """Export the slow-time-averaged profile as (range_m, power_db)."""
@@ -46,7 +55,9 @@ def to_range_profiles(
     cable_offset_m: float = 0.0,
     remove_static: bool = False,
 ) -> RangeProfileSeries:
-    """Scale the fast-time axis to meters and subtract the cable offset.
+    """Mean |h|^2 per range bin on a fast-time axis scaled to meters, minus
+    the cable offset. The impulse response is streamed in frame blocks and
+    only the per-bin power sum is kept.
 
     ``remove_static`` subtracts the per-bin slow-time mean of the complex
     impulse response before taking magnitudes (static-clutter suppression,
@@ -55,18 +66,23 @@ def to_range_profiles(
     if cable_offset_m < 0:
         raise ValueError("cable_offset_m must be >= 0")
     spec = series.spec
-    impulse = series.impulse
-    if remove_static:
-        impulse = impulse - impulse.mean(axis=0, keepdims=True)
+    power = np.zeros(spec.samples_per_pulse)
+    for h in series.impulse_chunks(remove_static):
+        parts = h.view(float)  # re, im interleaved
+        parts *= parts
+        sums = parts.sum(axis=0)
+        power += sums[0::2] + sums[1::2]
+    power /= series.n_frames
     bin_width = SPEED_OF_LIGHT / (2.0 * spec.sample_rate_hz)
     axis = np.arange(spec.samples_per_pulse) * bin_width - cable_offset_m
     resolution = SPEED_OF_LIGHT / (2.0 * spec.occupied_bandwidth_hz)
     return RangeProfileSeries(
         range_axis_m=axis,
-        profiles=np.abs(impulse),
+        mean_power=power,
         range_resolution_m=resolution,
         bin_width_m=bin_width,
-        frame_rate_hz=series.frame_rate_hz,
+        series=series,
+        remove_static=remove_static,
     )
 
 
@@ -111,6 +127,6 @@ def detect_targets(
 
 def extract_bin_series(series: ChannelFrameSeries, detection: TargetDetection) -> np.ndarray:
     """Complex impulse-response value at the detected bin, per frame."""
-    if not 0 <= detection.bin_index < series.impulse.shape[1]:
+    if not 0 <= detection.bin_index < series.spec.samples_per_pulse:
         raise ValueError(f"bin_index {detection.bin_index} out of range")
-    return series.impulse[:, detection.bin_index].copy()
+    return series.bin_series(detection.bin_index)

@@ -1,5 +1,13 @@
-"""Per-frame channel transfer function and impulse response estimation,
-plus coherent slow-time averaging of the raw frames."""
+"""Per-frame channel transfer function estimation, the impulse response
+derived from it, and coherent slow-time averaging of the raw frames.
+
+A capture goes through one fast-time FFT, in blocks of ``_CHUNK_FRAMES``
+frames and in the capture's own precision (JCV1 stores complex64). Only the
+N x A transfer matrix is kept, as complex128. The N x P impulse response is
+never stored: the receive chain reads it block by block (``impulse_chunks``)
+or one range bin at a time (``bin_series``), so working memory beyond the
+transfer is O(chunk * P).
+"""
 from __future__ import annotations
 
 import logging
@@ -7,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 from scipy.signal import get_window
 
 from .channel import SlowFastMatrix
@@ -15,6 +24,7 @@ from .waveform import BasebandSymbol, WaveformSpec
 log = logging.getLogger(__name__)
 
 _MIN_REFERENCE_MAGNITUDE = 1e-12
+_CHUNK_FRAMES = 16  # a block and its transform (2 x 640 KiB at P = 2500) fit in L2
 
 
 @dataclass(eq=False)
@@ -22,18 +32,63 @@ class ChannelFrameSeries:
     """Estimated channel per pulse.
 
     ``transfer``: N x A complex, one column per active subcarrier.
-    ``impulse``: N x P complex, inverse DFT of each transfer row embedded at
-    the active-band grid positions (zero-filled elsewhere).
+    The impulse response h (N x P) is the inverse DFT of each transfer row,
+    tapered by ``window`` and embedded at the active-band grid positions
+    (zero-filled elsewhere). It is computed from ``transfer`` when read:
+    ``impulse_chunks`` yields it in frame blocks, ``bin_series`` gives one
+    column, and ``impulse`` builds the whole matrix (uncached).
     """
 
     transfer: np.ndarray
-    impulse: np.ndarray
     frame_rate_hz: float
     spec: WaveformSpec
+    window: str | None = None
 
     @property
     def n_frames(self) -> int:
         return self.transfer.shape[0]
+
+    def _taps(self) -> np.ndarray | float:
+        return 1.0 if self.window is None else get_window(self.window, self.spec.active_count)
+
+    def impulse_chunks(self, remove_static: bool = False):
+        """Yield consecutive row blocks of h, at most ``_CHUNK_FRAMES`` rows each.
+
+        ``remove_static`` subtracts the per-bin slow-time mean of h, done on
+        the transfer before the inverse DFT (the two are equal by linearity).
+        """
+        p = self.spec.samples_per_pulse
+        bins = self.spec.active_bins % p
+        taps = self._taps()
+        static = self.transfer.mean(axis=0) if remove_static else 0.0
+        grid = np.zeros((min(_CHUNK_FRAMES, self.n_frames), p), dtype=complex)
+        for start in range(0, self.n_frames, _CHUNK_FRAMES):
+            rows = self.transfer[start : start + _CHUNK_FRAMES]
+            block = grid[: rows.shape[0]]
+            block[:, bins] = (rows - static) * taps  # the other columns stay zero
+            yield scipy.fft.ifft(block, axis=1)
+
+    @property
+    def impulse(self) -> np.ndarray:
+        """N x P complex impulse response, built on each access."""
+        return np.concatenate(list(self.impulse_chunks()))
+
+    def bin_series(self, bin_index: int) -> np.ndarray:
+        """``impulse[:, bin_index]`` as one length-A dot product per frame."""
+        p = self.spec.samples_per_pulse
+        turns = (self.spec.active_bins % p) * bin_index % p  # exact integer phase
+        steering = np.exp(2j * np.pi * turns / p) / p * self._taps()
+        return self.transfer @ steering
+
+    def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
+        """This estimate restricted to ``spec``'s band, a centred band nested
+        in this one: a contiguous column sub-range of the transfer."""
+        lo = int(spec.active_indices[0] - self.spec.active_indices[0])
+        hi = lo + spec.active_count
+        if lo < 0 or not np.array_equal(self.spec.active_indices[lo:hi], spec.active_indices):
+            raise ValueError("narrowed band is not nested in the estimated band")
+        # a contiguous copy: the count is then computed exactly as process_capture computes it
+        return replace(self, transfer=np.ascontiguousarray(self.transfer[:, lo:hi]), spec=spec)
 
 
 def estimate_channel(
@@ -70,16 +125,14 @@ def estimate_channel(
             "waveform/spec mismatch"
         )
 
-    spectra = np.fft.fft(capture.frames, axis=1) / math.sqrt(spec.samples_per_pulse)
     bins = spec.active_bins % spec.samples_per_pulse
-    transfer = spectra[:, bins] / x_active
-    grid = np.zeros((capture.n_frames, spec.samples_per_pulse), dtype=complex)
-    grid[:, bins] = transfer if window is None else transfer * get_window(window, spec.active_count)
+    transfer = np.empty((capture.n_frames, spec.active_count), dtype=complex)
+    for start in range(0, capture.n_frames, _CHUNK_FRAMES):
+        block = capture.frames[start : start + _CHUNK_FRAMES]
+        spectra = scipy.fft.fft(block, axis=1, norm="ortho")
+        np.divide(spectra[:, bins], x_active, out=transfer[start : start + _CHUNK_FRAMES])
     return ChannelFrameSeries(
-        transfer=transfer,
-        impulse=np.fft.ifft(grid, axis=1),
-        frame_rate_hz=capture.frame_rate_hz,
-        spec=spec,
+        transfer=transfer, frame_rate_hz=capture.frame_rate_hz, spec=spec, window=window
     )
 
 
