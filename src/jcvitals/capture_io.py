@@ -61,6 +61,8 @@ def write_capture(path, capture: SlowFastMatrix, averaging_factor: int = 1, seed
 
 
 def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
+    """Load a capture; ``CaptureFormatError`` for any file that does not form
+    one (bad header, truncated or non-finite payload, off-centre band)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_SIZE)
         if len(header) < _HEADER_SIZE:
@@ -97,18 +99,24 @@ def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
             f"expected {_HEADER_SIZE + expected} bytes total"
         )
 
-    mask = np.zeros(num_subcarriers, dtype=bool)
-    mask[active_start : active_start + active_count] = True
-    spec = WaveformSpec(
-        carrier_frequency_hz=carrier_hz,
-        num_subcarriers=num_subcarriers,
-        subcarrier_spacing_hz=spacing_hz,
-        samples_per_pulse=samples_per_pulse,
-        pulse_duration_s=samples_per_pulse / sample_rate_hz,
-        active_mask=mask,
-    )
     frames = np.frombuffer(payload, dtype=np.complex64).reshape(frame_count, samples_per_pulse)
-    capture = SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
+    try:
+        spec = WaveformSpec(
+            carrier_frequency_hz=carrier_hz,
+            num_subcarriers=num_subcarriers,
+            subcarrier_spacing_hz=spacing_hz,
+            samples_per_pulse=samples_per_pulse,
+            pulse_duration_s=samples_per_pulse / sample_rate_hz,
+            active_count=active_count,
+        )
+        capture = SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CaptureFormatError(f"invalid capture: {exc}") from exc
+    if active_start != spec.active_indices[0]:
+        raise CaptureFormatError(
+            f"active start {active_start} is not the centred start "
+            f"{spec.active_indices[0]} for {active_count} of {num_subcarriers} subcarriers"
+        )
     return capture, CaptureMeta(
         format_version=version, averaging_factor=averaging_factor, seed=seed
     )

@@ -82,6 +82,8 @@ class SlowFastMatrix:
             raise ValueError("fast-time length must equal spec.samples_per_pulse")
         if self.frames.shape[0] < 1:
             raise ValueError("need at least one frame")
+        if not self.frame_rate_hz > 0:
+            raise ValueError("frame_rate_hz must be positive")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("capture contains non-finite samples")
 

@@ -129,17 +129,10 @@ def _export_results(result, scenario_id, export_dir: Path, spec, kinds=None):
 
 def cmd_process(args) -> int:
     capture, meta = read_capture(args.capture)
-    scenario = None
-    if args.config or args.scenario:
-        scenario = _load_scenario_arg(args)
-        processing = scenario.processing_config()
-    else:
-        from .pipeline import ProcessingConfig
-
-        processing = ProcessingConfig()
+    scenario = _load_scenario_arg(args) if args.config or args.scenario else None
     scenario_id = scenario.scenario_id if scenario else Path(args.capture).stem
 
-    result = process_capture(capture, config=processing)
+    result = process_capture(capture, config=scenario.processing_config() if scenario else None)
     records = [tr.to_record(scenario_id) for tr in result.targets]
     lines = "\n".join(json.dumps(r) for r in records)
     if args.estimates_out:

@@ -17,7 +17,7 @@ from .channel import ClutterPoint, Scene, SceneTarget
 from .physio import BREATH_HOLD, MOVING, NORMAL, Segment, VitalParams, synthesize_displacement, walking_trajectory
 from .pipeline import ProcessingConfig
 from .vitals import VitalsConfig
-from .waveform import WaveformSpec, select_subcarriers
+from .waveform import WaveformSpec
 
 
 class ConfigError(ValueError):
@@ -185,10 +185,7 @@ class Scenario:
 
     def waveform_spec(self) -> WaveformSpec:
         w = self.raw.get("waveform", {})
-        spec = WaveformSpec(**_given(WaveformSpec, w))
-        if "active_subcarriers" in w:
-            spec = select_subcarriers(spec, w["active_subcarriers"])
-        return spec
+        return WaveformSpec(**_given(WaveformSpec, w), active_count=w.get("active_subcarriers"))
 
     def _segments(self, schedule: list, n: int) -> list:
         segments = []

@@ -98,14 +98,14 @@ def process_with_subcarriers(
     symbol: BasebandSymbol | None = None,
     config: ProcessingConfig | None = None,
 ) -> dict:
-    """Reprocess one capture with narrowed active-subcarrier masks.
+    """Reprocess one capture with narrowed active-subcarrier bands.
 
     The same recorded frames (same noise realization) are analyzed per count,
     which isolates the effect of occupied bandwidth, keeping the central
     frequency fixed. The capture is averaged and its channel estimated once,
-    at the widest count; centred masks are nested, so each count reads a
+    at the widest count; centred bands are nested, so each count reads a
     column sub-range of that transfer. Each result is bit-identical to
-    ``process_capture`` on the capture relabelled with that count's mask.
+    ``process_capture`` on the capture relabelled with that count's band.
     """
     config = config or ProcessingConfig()
     if symbol is None:

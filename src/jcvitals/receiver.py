@@ -83,10 +83,11 @@ class ChannelFrameSeries:
     def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
         """This estimate restricted to ``spec``'s band, a centred band nested
         in this one: a contiguous column sub-range of the transfer."""
+        if (spec.active_count > self.spec.active_count
+                or replace(self.spec, active_count=spec.active_count) != spec):
+            raise ValueError("narrowed band is not nested in the estimated band on its grid")
         lo = int(spec.active_indices[0] - self.spec.active_indices[0])
         hi = lo + spec.active_count
-        if lo < 0 or not np.array_equal(self.spec.active_indices[lo:hi], spec.active_indices):
-            raise ValueError("narrowed band is not nested in the estimated band")
         # a contiguous copy: the count is then computed exactly as process_capture computes it
         return replace(self, transfer=np.ascontiguousarray(self.transfer[:, lo:hi]), spec=spec)
 
@@ -100,7 +101,7 @@ def estimate_channel(
 
     The reference symbol may occupy a wider band than the capture's spec (the
     subcarrier-reduction studies reprocess a full-band capture with a narrowed
-    mask); it must cover all active bins of the capture with usable magnitude.
+    band); it must cover all active bins of the capture with usable magnitude.
 
     Optional ``window`` (e.g. "hann") tapers the frequency axis before the
     inverse transform, trading main-lobe width for lower range sidelobes.
@@ -115,7 +116,7 @@ def estimate_channel(
         or not math.isclose(ref.pulse_duration_s, spec.pulse_duration_s)
     ):
         raise ValueError("capture spec does not match the reference symbol's grid")
-    if not np.all(ref.active_mask[spec.active_mask]):
+    if ref.active_count < spec.active_count:  # centred bands nest
         raise ValueError("reference symbol does not cover the capture's active band")
 
     x_active = symbol.freq_domain[spec.active_indices]

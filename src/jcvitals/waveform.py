@@ -10,27 +10,22 @@ free of inter-carrier interference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 
 
-def _centered_mask(num_subcarriers: int, count: int) -> np.ndarray:
-    mask = np.zeros(num_subcarriers, dtype=bool)
-    start = num_subcarriers // 2 - count // 2
-    mask[start : start + count] = True
-    return mask
-
-
-@dataclass(eq=False)
+@dataclass
 class WaveformSpec:
     """Static description of the transmitted OFDM pulse.
 
-    ``active_mask`` selects a contiguous block of subcarriers centered on the
-    carrier; for even counts the block center sits half a subcarrier spacing
-    below the carrier (see ``effective_carrier_hz``).
+    The active band is ``active_count`` contiguous subcarriers centred on the
+    carrier (``None``: all of them); for even counts the block centre sits
+    half a subcarrier spacing below the carrier (see
+    ``effective_carrier_hz``). Centred bands are nested: a narrower count
+    selects a contiguous sub-range of a wider one.
     """
 
     carrier_frequency_hz: float = 26.5e9
@@ -38,18 +33,18 @@ class WaveformSpec:
     subcarrier_spacing_hz: float = 1.0e6
     samples_per_pulse: int = 2500
     pulse_duration_s: float = 1.0e-6
-    active_mask: np.ndarray = field(default=None, repr=False)
+    active_count: int | None = None
 
     def __post_init__(self):
-        if self.carrier_frequency_hz <= 0:
+        if not self.carrier_frequency_hz > 0:  # NaN fails too
             raise ValueError("carrier_frequency_hz must be positive")
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
         if self.samples_per_pulse < self.num_subcarriers:
             raise ValueError("samples_per_pulse must be >= num_subcarriers")
-        if self.pulse_duration_s <= 0:
+        if not self.pulse_duration_s > 0:
             raise ValueError("pulse_duration_s must be positive")
-        if self.subcarrier_spacing_hz <= 0:
+        if not self.subcarrier_spacing_hz > 0:
             raise ValueError("subcarrier_spacing_hz must be positive")
 
         cycles = self.subcarrier_spacing_hz * self.pulse_duration_s
@@ -61,31 +56,14 @@ class WaveformSpec:
         if self.num_subcarriers * round(cycles) > self.samples_per_pulse:
             raise ValueError("subcarrier band exceeds the sampled bandwidth")
 
-        if self.active_mask is None:
-            self.active_mask = np.ones(self.num_subcarriers, dtype=bool)
-        else:
-            self.active_mask = np.asarray(self.active_mask, dtype=bool)
-        if self.active_mask.shape != (self.num_subcarriers,):
-            raise ValueError("active_mask length must equal num_subcarriers")
-        count = int(self.active_mask.sum())
-        if count == 0:
-            raise ValueError("active_mask selects zero subcarriers")
-        if not np.array_equal(self.active_mask, _centered_mask(self.num_subcarriers, count)):
-            raise ValueError("active_mask must be a contiguous band centered on the carrier")
+        if self.active_count is None:
+            self.active_count = self.num_subcarriers
+        if not 1 <= self.active_count <= self.num_subcarriers:
+            raise ValueError(
+                f"active_count must be in [1, {self.num_subcarriers}], got {self.active_count}"
+            )
 
     # -- derived quantities -------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WaveformSpec):
-            return NotImplemented
-        return (
-            self.carrier_frequency_hz == other.carrier_frequency_hz
-            and self.num_subcarriers == other.num_subcarriers
-            and self.subcarrier_spacing_hz == other.subcarrier_spacing_hz
-            and self.samples_per_pulse == other.samples_per_pulse
-            and self.pulse_duration_s == other.pulse_duration_s
-            and np.array_equal(self.active_mask, other.active_mask)
-        )
 
     @property
     def sample_rate_hz(self) -> float:
@@ -97,12 +75,10 @@ class WaveformSpec:
         return round(self.subcarrier_spacing_hz * self.pulse_duration_s)
 
     @property
-    def active_count(self) -> int:
-        return int(self.active_mask.sum())
-
-    @property
     def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.active_mask)
+        """Subcarrier slots of the band: the one place the centring rule lives."""
+        start = self.num_subcarriers // 2 - self.active_count // 2
+        return np.arange(start, start + self.active_count)
 
     @property
     def active_bins(self) -> np.ndarray:
@@ -175,13 +151,10 @@ def papr_db(symbol: BasebandSymbol) -> float:
 
 
 def select_subcarriers(spec: WaveformSpec, count: int) -> WaveformSpec:
-    """Return a spec with a centered contiguous mask of ``count`` subcarriers.
+    """Return ``spec`` with its active band narrowed or widened to ``count``
+    centred subcarriers (``ValueError`` outside [1, num_subcarriers]).
 
     Spacing is kept fixed; deselected subcarriers are zeroed, so the occupied
     bandwidth is count * spacing while the band center stays on the carrier.
     """
-    if not 1 <= count <= spec.num_subcarriers:
-        raise ValueError(
-            f"count must be in [1, {spec.num_subcarriers}], got {count}"
-        )
-    return replace(spec, active_mask=_centered_mask(spec.num_subcarriers, count))
+    return replace(spec, active_count=count)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcvitals.capture_io import (
+    _HEADER_FMT,
+    _HEADER_SIZE,
     FORMAT_VERSION,
     MAGIC,
     CaptureFormatError,
@@ -16,6 +18,14 @@ from jcvitals.channel import Scene, simulate_capture
 from jcvitals.physio import DisplacementTrace
 from jcvitals.channel import SceneTarget
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
+
+
+def patch_header(path, field, value):
+    raw = bytearray(path.read_bytes())
+    header = list(struct.unpack_from(_HEADER_FMT, raw))
+    header[field] = value
+    struct.pack_into(_HEADER_FMT, raw, 0, *header)
+    path.write_bytes(bytes(raw))
 
 
 def small_capture(n=5, count=None, seed=2):
@@ -101,4 +111,34 @@ class TestErrors:
         path = tmp_path / "hdr.jcv"
         path.write_bytes(MAGIC + b"\x01")
         with pytest.raises(CaptureFormatError, match="header"):
+            read_capture(path)
+
+    @pytest.mark.parametrize("field, value", [
+        (8, 0),  # num_subcarriers
+        (9, 1.3e6),  # subcarrier spacing off the pulse DFT grid
+        (2, float("nan")),  # carrier
+        (3, 0.0),  # sample rate
+        (5, 0.0),  # frame rate
+    ])
+    def test_header_that_is_not_a_valid_capture(self, tmp_path, field, value):
+        path = tmp_path / "spec.jcv"
+        write_capture(path, small_capture())
+        patch_header(path, field, value)
+        with pytest.raises(CaptureFormatError):
+            read_capture(path)
+
+    def test_active_start_off_centre(self, tmp_path):
+        path = tmp_path / "start.jcv"
+        write_capture(path, small_capture(count=10))
+        patch_header(path, 10, 64 // 2 - 10 // 2 - 1)  # active start, one below centre
+        with pytest.raises(CaptureFormatError, match="centred start"):
+            read_capture(path)
+
+    def test_non_finite_sample(self, tmp_path):
+        path = tmp_path / "nan.jcv"
+        write_capture(path, small_capture())
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, _HEADER_SIZE + 8 * 17, float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CaptureFormatError, match="non-finite"):
             read_capture(path)

@@ -19,7 +19,7 @@ from jcvitals import pipeline
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.ranging import to_range_profiles
 from jcvitals.receiver import _CHUNK_FRAMES, ChannelFrameSeries
-from jcvitals.waveform import build_waveform, select_subcarriers
+from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
 
 from conftest import capture_of, make_target
 
@@ -82,6 +82,9 @@ class TestStreamedDefinitions:
         assert series.narrowed(select_subcarriers(small_spec, 4)).transfer.shape == (3, 4)
         with pytest.raises(ValueError, match="nested"):
             series.narrowed(select_subcarriers(small_spec, 16))
+        other_grid = WaveformSpec(num_subcarriers=66, samples_per_pulse=160)
+        with pytest.raises(ValueError, match="nested"):  # the same slots 31..34 on another grid
+            series.narrowed(select_subcarriers(other_grid, 4))
 
 
 def same_result(a: pipeline.ProcessResult, b: pipeline.ProcessResult) -> bool:

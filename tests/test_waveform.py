@@ -39,14 +39,7 @@ class TestSpecValidation:
 
     def test_rejects_zero_active(self):
         with pytest.raises(ValueError):
-            WaveformSpec(num_subcarriers=64, samples_per_pulse=160,
-                         active_mask=np.zeros(64, dtype=bool))
-
-    def test_rejects_off_center_mask(self):
-        mask = np.zeros(64, dtype=bool)
-        mask[:10] = True
-        with pytest.raises(ValueError):
-            WaveformSpec(num_subcarriers=64, samples_per_pulse=160, active_mask=mask)
+            WaveformSpec(num_subcarriers=64, samples_per_pulse=160, active_count=0)
 
     def test_effective_carrier_sits_half_spacing_low_for_even_counts(self, default_spec):
         offset = default_spec.effective_carrier_hz - default_spec.carrier_frequency_hz
@@ -74,7 +67,8 @@ class TestBuildWaveform:
     def test_active_subcarriers_unit_magnitude_inactive_zero(self, default_spec):
         spec = select_subcarriers(default_spec, 40)
         symbol = build_waveform(spec)
-        active = spec.active_mask
+        active = np.zeros(spec.num_subcarriers, dtype=bool)
+        active[spec.active_indices] = True
         assert np.allclose(np.abs(symbol.freq_domain[active]), 1.0)
         assert np.all(symbol.freq_domain[~active] == 0)
 
@@ -162,3 +156,32 @@ def test_parseval_property(count, samples):
     assert np.sum(np.abs(symbol.time_domain) ** 2) == pytest.approx(
         np.sum(np.abs(symbol.freq_domain) ** 2), rel=1e-9
     )
+
+
+def mask_active_indices(n: int, count: int) -> np.ndarray:
+    # reference: the centred band written as a boolean mask
+    mask = np.zeros(n, dtype=bool)
+    start = n // 2 - count // 2
+    mask[start : start + count] = True
+    return np.flatnonzero(mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=128))
+def test_centred_bands_nest(data, n):
+    # narrowed() and estimate_channel() compare counts only: this is why that suffices
+    c1 = data.draw(st.integers(min_value=1, max_value=n))
+    c2 = data.draw(st.integers(min_value=c1, max_value=n))
+    base = WaveformSpec(num_subcarriers=n, samples_per_pulse=n)
+    narrow, wide = (select_subcarriers(base, c) for c in (c1, c2))
+    assert np.array_equal(narrow.active_indices, mask_active_indices(n, c1))
+    assert np.array_equal(wide.active_indices, mask_active_indices(n, c2))
+    lo = narrow.active_indices[0] - wide.active_indices[0]
+    assert 0 <= lo <= c2 - c1
+    assert np.array_equal(wide.active_indices[lo : lo + c1], narrow.active_indices)
+    assert narrow == WaveformSpec(num_subcarriers=n, samples_per_pulse=n, active_count=c1)
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError):
+            WaveformSpec(num_subcarriers=n, samples_per_pulse=n, active_count=bad)
+        with pytest.raises(ValueError):
+            select_subcarriers(base, bad)
