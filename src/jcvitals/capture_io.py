@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SlowFastMatrix
+from .channel import _CHUNK_FRAMES, SlowFastMatrix
 from .waveform import WaveformSpec
 
 MAGIC = b"JCV1"
@@ -57,7 +57,9 @@ def write_capture(path, capture: SlowFastMatrix, averaging_factor: int = 1, seed
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(capture.frames, dtype=np.complex64).tobytes())
+        for start in range(0, capture.n_frames, _CHUNK_FRAMES):
+            block = capture.frames[start : start + _CHUNK_FRAMES]
+            fh.write(np.ascontiguousarray(block, dtype=np.complex64))
 
 
 def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:

@@ -6,6 +6,16 @@ carrier phase rotates by exp(-j*2*pi*f*tau). Fractional-sample delays are
 applied in the frequency domain (per-subcarrier linear phase) so sub-mm
 motion survives; time-domain frames are the inverse DFT of the delayed band,
 which is exact for gapless periodic pulse transmission.
+
+The simulator works in blocks of ``_CHUNK_FRAMES`` frames, each held in one
+cache-resident frequency grid of P bins. Noise is drawn into that grid as
+circular complex white noise on every bin, the active band's signal is added
+to it, and one unitary (ortho) inverse DFT gives the block's frames. A
+unitary transform maps white noise to white noise of the same per-sample
+variance, so the frames are white over the whole sampled band, as if the
+noise had been added in the time domain. The subcarriers are evenly spaced,
+so a return's transfer is a geometric progression along them, built with
+one cumulative product per frame.
 """
 from __future__ import annotations
 
@@ -13,10 +23,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .constants import SPEED_OF_LIGHT
 from .physio import DisplacementTrace
 from .waveform import BasebandSymbol, WaveformSpec
+
+# frames per block, here and in the receive chain: a block of P = 2500 complex
+# samples and its transform (2 x 640 KiB) fit in L2
+_CHUNK_FRAMES = 16
 
 
 @dataclass
@@ -115,7 +130,10 @@ def simulate_capture(
     Each frame is the superposition of every target's delayed, phase-rotated
     pulse plus static clutter plus (optionally) circular complex white noise
     whose power is set ``snr_db`` below the strongest target's return power.
-    Deterministic for a given seed.
+    The noise is added per block of ``_CHUNK_FRAMES`` in the frequency grid,
+    on all P bins, before the block's one unitary inverse DFT, so the frames
+    are still white over the whole sampled band with the same per-sample
+    variance. Deterministic for a given seed, whatever the block size.
     """
     if symbol.spec != spec:
         raise ValueError("symbol was built for a different waveform spec")
@@ -137,11 +155,8 @@ def simulate_capture(
         if len(t.trace.samples) < n_frames:
             raise ValueError("target trace shorter than n_frames")
 
-    transfer = analytic_transfer(scene, spec, n_frames)
-    grid = np.zeros((n_frames, spec.samples_per_pulse), dtype=complex)
-    grid[:, spec.active_bins % spec.samples_per_pulse] = symbol.freq_domain[spec.active_indices] * transfer
-    frames = np.fft.ifft(grid, axis=1) * math.sqrt(spec.samples_per_pulse)
-
+    blocks = _transfer_blocks(scene, spec, n_frames)  # checks for aliased returns
+    sigma = None
     if scene.snr_db is not None and math.isfinite(scene.snr_db):
         if not scene.targets:
             raise ValueError("snr_db needs at least one target as power reference")
@@ -149,10 +164,32 @@ def simulate_capture(
         strongest = max(t.amplitude for t in scene.targets)
         target_power = spec.active_count * strongest**2 / spec.samples_per_pulse
         noise_power = target_power / 10.0 ** (scene.snr_db / 10.0)
-        rng = np.random.default_rng(rng_seed)
         sigma = math.sqrt(noise_power / 2.0)
-        frames = frames + sigma * (
-            rng.standard_normal(frames.shape) + 1j * rng.standard_normal(frames.shape)
+    rng = np.random.default_rng(rng_seed)
+
+    # the band as two strided column ranges of the grid: the carrier bin 0 is
+    # always in the band, and the bins below it wrap to the top of the grid
+    bins, step, p = spec.active_bins, spec.grid_step, spec.samples_per_pulse
+    below = int(np.count_nonzero(bins < 0))
+    band = ((slice(p + bins[0], p, step), slice(0, below)),
+            (slice(0, bins[-1] + 1, step), slice(below, None)))
+    x_active = symbol.freq_domain[spec.active_indices]
+    frames = np.empty((n_frames, p), dtype=complex)
+    grid = np.empty((min(_CHUNK_FRAMES, n_frames), p), dtype=complex)
+    for start, transfer in blocks:
+        block = grid[: transfer.shape[0]]
+        if sigma is None:
+            block.fill(0.0)
+        else:
+            # I and Q interleaved: block by block, the same stream as one whole draw
+            noise = block.view(np.float64)
+            rng.standard_normal(out=noise)
+            noise *= sigma
+        transfer *= x_active
+        for grid_columns, band_columns in band:
+            block[:, grid_columns] += transfer[:, band_columns]
+        frames[start : start + block.shape[0]] = scipy.fft.ifft(
+            block, axis=1, norm="ortho", overwrite_x=True
         )
 
     return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
@@ -163,10 +200,21 @@ def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.nda
 
     The one propagation model: ``simulate_capture`` modulates it onto the
     pulse, and round-trip tests use it as what a perfect estimator recovers.
+    It equals the sum over returns of amplitude * exp(-2j*pi*tau*f_rf).
     """
-    f_rf = spec.carrier_frequency_hz + spec.baseband_frequencies_hz()  # (A,)
+    transfer = np.empty((n_frames, spec.active_count), dtype=complex)
+    for start, rows in _transfer_blocks(scene, spec, n_frames):
+        transfer[start : start + rows.shape[0]] = rows
+    return transfer
+
+
+def _transfer_blocks(scene: Scene, spec: WaveformSpec, n_frames: int):
+    """Check every return against the unambiguous range, then return an
+    iterator of ``(start, rows)``: the transfer of frames ``start`` onwards,
+    ``_CHUNK_FRAMES`` at a time, in one buffer that the next block overwrites.
+    """
     max_delay = spec.pulse_duration_s
-    transfer = np.zeros((n_frames, spec.active_count), dtype=complex)
+    delays = []
     for target in scene.targets:
         tau = _round_trip_delays(scene, target, n_frames)  # (N,)
         if tau.max() > max_delay:
@@ -174,10 +222,36 @@ def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.nda
                 f"target at {target.rest_range_m} m exceeds the unambiguous "
                 f"range {max_unambiguous_range(spec):.1f} m (aliased delay)"
             )
-        transfer += target.amplitude * np.exp(-2j * np.pi * np.outer(tau, f_rf))
+        delays.append((target.amplitude, tau))
+    static = np.zeros(spec.active_count, dtype=complex)
     for clutter in scene.static_clutter:
         tau_c = 2.0 * (clutter.range_m + scene.cable_delay_range_m) / SPEED_OF_LIGHT
         if tau_c > max_delay:
             raise ValueError("clutter beyond the unambiguous range")
-        transfer += clutter.amplitude * np.exp(-2j * np.pi * tau_c * f_rf)
-    return transfer
+        static += _ramp(clutter.amplitude, np.array([tau_c]), spec)[0]
+
+    def blocks():
+        buffer = np.empty((min(_CHUNK_FRAMES, n_frames), spec.active_count), dtype=complex)
+        for start in range(0, n_frames, _CHUNK_FRAMES):
+            rows = buffer[: min(_CHUNK_FRAMES, n_frames - start)]
+            rows[:] = static
+            for amplitude, tau in delays:
+                rows += _ramp(amplitude, tau[start : start + rows.shape[0]], spec)
+            yield start, rows
+
+    return blocks()
+
+
+def _ramp(amplitude: float, tau: np.ndarray, spec: WaveformSpec) -> np.ndarray:
+    """``amplitude * exp(-2j*pi*outer(tau, f_rf))`` over the active band.
+
+    The active subcarriers are evenly spaced, f_k = f_0 + k*df, so each row is
+    a geometric progression with ratio exp(-2j*pi*df*tau): one cumulative
+    product along the subcarriers instead of one exponential per entry.
+    """
+    f_0 = spec.carrier_frequency_hz + spec.active_bins[0] / spec.pulse_duration_s
+    df = spec.grid_step / spec.pulse_duration_s
+    ramp = np.empty((tau.size, spec.active_count), dtype=complex)
+    ramp[:, 0] = amplitude * np.exp(-2j * np.pi * f_0 * tau)
+    ramp[:, 1:] = np.exp(-2j * np.pi * df * tau)[:, None]
+    return np.cumprod(ramp, axis=1, out=ramp)

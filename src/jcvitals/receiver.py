@@ -18,13 +18,12 @@ import numpy as np
 import scipy.fft
 from scipy.signal import get_window
 
-from .channel import SlowFastMatrix
+from .channel import _CHUNK_FRAMES, SlowFastMatrix
 from .waveform import BasebandSymbol, WaveformSpec
 
 log = logging.getLogger(__name__)
 
 _MIN_REFERENCE_MAGNITUDE = 1e-12
-_CHUNK_FRAMES = 16  # a block and its transform (2 x 640 KiB at P = 2500) fit in L2
 
 
 @dataclass(eq=False)

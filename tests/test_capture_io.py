@@ -14,7 +14,7 @@ from jcvitals.capture_io import (
     read_capture,
     write_capture,
 )
-from jcvitals.channel import Scene, simulate_capture
+from jcvitals.channel import _CHUNK_FRAMES, Scene, simulate_capture
 from jcvitals.physio import DisplacementTrace
 from jcvitals.channel import SceneTarget
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
@@ -77,6 +77,18 @@ class TestRoundTrip:
         assert meta.seed == seed
         assert loaded.frames.shape == capture.frames.shape
         assert np.allclose(loaded.frames, capture.frames, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, _CHUNK_FRAMES, 2 * _CHUNK_FRAMES + 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_is_the_whole_array_in_row_order(self, tmp_path, n, order):
+        # the payload is written block by block; its bytes are those of the
+        # whole capture converted at once, row after row, whatever the layout
+        capture = small_capture(n=n)
+        capture.frames = np.asarray(capture.frames, order=order)
+        path = tmp_path / "e.jcv"
+        write_capture(path, capture)
+        whole = np.ascontiguousarray(capture.frames, dtype=np.complex64).tobytes()
+        assert path.read_bytes()[_HEADER_SIZE:] == whole
 
 
 class TestErrors:
