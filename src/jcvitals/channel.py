@@ -16,10 +16,15 @@ variance, so the frames are white over the whole sampled band, as if the
 noise had been added in the time domain. The subcarriers are evenly spaced,
 so a return's transfer is a geometric progression along them, built with
 one cumulative product per frame.
+
+The block loops, here and in the receive chain, run on at most ``_WORKERS``
+threads; the simulator's helper draws the noise ahead, in stream order.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,34 @@ from .waveform import BasebandSymbol, WaveformSpec
 # frames per block, here and in the receive chain: a block of P = 2500 complex
 # samples and its transform (2 x 640 KiB) fit in L2
 _CHUNK_FRAMES = 16
+
+
+def _worker_count() -> int:
+    """Threads for the block loops: the caller and one helper, if this process may use 2 CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return min(2, len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
+_WORKERS = _worker_count()
+
+
+class _Inline(Executor):
+    """The helper when there is one worker: runs each call as it is submitted."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def _split_blocks(n_frames: int, work) -> list:
+    """``work(lo, hi)`` on ``_WORKERS`` ranges of whole blocks covering ``[0, n_frames)``, the
+    first on the caller's thread and a joined helper only for the rest; results in frame order."""
+    per_worker = -(-n_frames // (_CHUNK_FRAMES * _WORKERS)) * _CHUNK_FRAMES
+    with ThreadPoolExecutor(1) as helper:
+        later = [helper.submit(work, lo, min(lo + per_worker, n_frames))
+                 for lo in range(per_worker, n_frames, per_worker)]
+        return [work(0, min(per_worker, n_frames))] + [f.result() for f in later]
 
 
 @dataclass
@@ -167,6 +200,16 @@ def simulate_capture(
         sigma = math.sqrt(noise_power / 2.0)
     rng = np.random.default_rng(rng_seed)
 
+    def draw(block):
+        if sigma is None:
+            block.fill(0.0)
+        else:
+            # I and Q interleaved: block by block, the same stream as one whole draw
+            noise = block.view(np.float64)
+            rng.standard_normal(out=noise)
+            noise *= sigma
+        return block
+
     # the band as two strided column ranges of the grid: the carrier bin 0 is
     # always in the band, and the bins below it wrap to the top of the grid
     bins, step, p = spec.active_bins, spec.grid_step, spec.samples_per_pulse
@@ -175,22 +218,23 @@ def simulate_capture(
             (slice(0, bins[-1] + 1, step), slice(below, None)))
     x_active = symbol.freq_domain[spec.active_indices]
     frames = np.empty((n_frames, p), dtype=complex)
-    grid = np.empty((min(_CHUNK_FRAMES, n_frames), p), dtype=complex)
-    for start, transfer in blocks:
-        block = grid[: transfer.shape[0]]
-        if sigma is None:
-            block.fill(0.0)
-        else:
-            # I and Q interleaved: block by block, the same stream as one whole draw
-            noise = block.view(np.float64)
-            rng.standard_normal(out=noise)
-            noise *= sigma
-        transfer *= x_active
-        for grid_columns, band_columns in band:
-            block[:, grid_columns] += transfer[:, band_columns]
-        frames[start : start + block.shape[0]] = scipy.fft.ifft(
-            block, axis=1, norm="ortho", overwrite_x=True
-        )
+    # with a helper, three grids in rotation: block i is transformed while i+1
+    # and i+2 are drawn; alone, one grid, drawn just before its transform
+    depth = 3 if _WORKERS > 1 else 1
+    grids = np.empty((depth, min(_CHUNK_FRAMES, n_frames), p), dtype=complex)
+    starts = range(0, n_frames, _CHUNK_FRAMES)
+    with ThreadPoolExecutor(1) if depth > 1 else _Inline() as helper:
+        drawn = []
+        for i, (start, transfer) in enumerate(blocks):
+            for j in range(i + len(drawn), min(i + depth, len(starts))):
+                drawn.append(helper.submit(draw, grids[j % depth, : n_frames - starts[j]]))
+            block = drawn.pop(0).result()
+            transfer *= x_active
+            for grid_columns, band_columns in band:
+                block[:, grid_columns] += transfer[:, band_columns]
+            frames[start : start + block.shape[0]] = scipy.fft.ifft(
+                block, axis=1, norm="ortho", overwrite_x=True
+            )
 
     return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
 

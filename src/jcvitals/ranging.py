@@ -31,7 +31,7 @@ class RangeProfileSeries:
 
     @property
     def profiles(self) -> np.ndarray:
-        return np.concatenate([np.abs(h) for h in self.series.impulse_chunks(self.remove_static)])
+        return np.concatenate(self.series.impulse_chunks(np.abs, self.remove_static))
 
     def mean_power_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
@@ -67,11 +67,8 @@ def to_range_profiles(
         raise ValueError("cable_offset_m must be >= 0")
     spec = series.spec
     power = np.zeros(spec.samples_per_pulse)
-    for h in series.impulse_chunks(remove_static):
-        parts = h.view(float)  # re, im interleaved
-        parts *= parts
-        sums = parts.sum(axis=0)
-        power += sums[0::2] + sums[1::2]
+    for block_power in series.impulse_chunks(_block_power, remove_static):
+        power += block_power  # in frame order, as one serial pass adds them
     power /= series.n_frames
     bin_width = SPEED_OF_LIGHT / (2.0 * spec.sample_rate_hz)
     axis = np.arange(spec.samples_per_pulse) * bin_width - cable_offset_m
@@ -84,6 +81,14 @@ def to_range_profiles(
         series=series,
         remove_static=remove_static,
     )
+
+
+def _block_power(h: np.ndarray) -> np.ndarray:
+    """Sum of |h|^2 over the rows of one block, per range bin."""
+    parts = h.view(float)  # re, im interleaved
+    parts *= parts
+    sums = parts.sum(axis=0)
+    return sums[0::2] + sums[1::2]
 
 
 def detect_targets(

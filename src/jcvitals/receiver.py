@@ -6,7 +6,7 @@ frames and in the capture's own precision (JCV1 stores complex64). Only the
 N x A transfer matrix is kept, as complex128. The N x P impulse response is
 never stored: the receive chain reads it block by block (``impulse_chunks``)
 or one range bin at a time (``bin_series``), so working memory beyond the
-transfer is O(chunk * P).
+transfer is O(chunk * P) per worker.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 from scipy.signal import get_window
 
-from .channel import _CHUNK_FRAMES, SlowFastMatrix
+from .channel import _CHUNK_FRAMES, SlowFastMatrix, _split_blocks
 from .waveform import BasebandSymbol, WaveformSpec
 
 log = logging.getLogger(__name__)
@@ -34,7 +34,7 @@ class ChannelFrameSeries:
     The impulse response h (N x P) is the inverse DFT of each transfer row,
     tapered by ``window`` and embedded at the active-band grid positions
     (zero-filled elsewhere). It is computed from ``transfer`` when read:
-    ``impulse_chunks`` yields it in frame blocks, ``bin_series`` gives one
+    ``impulse_chunks`` gives it in frame blocks, ``bin_series`` gives one
     column, and ``impulse`` builds the whole matrix (uncached).
     """
 
@@ -50,8 +50,10 @@ class ChannelFrameSeries:
     def _taps(self) -> np.ndarray | float:
         return 1.0 if self.window is None else get_window(self.window, self.spec.active_count)
 
-    def impulse_chunks(self, remove_static: bool = False):
-        """Yield consecutive row blocks of h, at most ``_CHUNK_FRAMES`` rows each.
+    def impulse_chunks(self, reduce=np.asarray, remove_static: bool = False) -> list:
+        """``reduce(h)`` for consecutive row blocks h of the impulse response,
+        at most ``_CHUNK_FRAMES`` rows each, in frame order. Each worker runs
+        one contiguous range of blocks.
 
         ``remove_static`` subtracts the per-bin slow-time mean of h, done on
         the transfer before the inverse DFT (the two are equal by linearity).
@@ -60,17 +62,23 @@ class ChannelFrameSeries:
         bins = self.spec.active_bins % p
         taps = self._taps()
         static = self.transfer.mean(axis=0) if remove_static else 0.0
-        grid = np.zeros((min(_CHUNK_FRAMES, self.n_frames), p), dtype=complex)
-        for start in range(0, self.n_frames, _CHUNK_FRAMES):
-            rows = self.transfer[start : start + _CHUNK_FRAMES]
-            block = grid[: rows.shape[0]]
-            block[:, bins] = (rows - static) * taps  # the other columns stay zero
-            yield scipy.fft.ifft(block, axis=1)
+
+        def work(lo, hi):
+            grid = np.zeros((min(_CHUNK_FRAMES, hi - lo), p), dtype=complex)
+            out = []
+            for start in range(lo, hi, _CHUNK_FRAMES):
+                rows = self.transfer[start : start + _CHUNK_FRAMES]
+                block = grid[: rows.shape[0]]
+                block[:, bins] = (rows - static) * taps  # the other columns stay zero
+                out.append(reduce(scipy.fft.ifft(block, axis=1)))
+            return out
+
+        return [r for part in _split_blocks(self.n_frames, work) for r in part]
 
     @property
     def impulse(self) -> np.ndarray:
         """N x P complex impulse response, built on each access."""
-        return np.concatenate(list(self.impulse_chunks()))
+        return np.concatenate(self.impulse_chunks())
 
     def bin_series(self, bin_index: int) -> np.ndarray:
         """``impulse[:, bin_index]`` as one length-A dot product per frame."""
@@ -127,10 +135,13 @@ def estimate_channel(
 
     bins = spec.active_bins % spec.samples_per_pulse
     transfer = np.empty((capture.n_frames, spec.active_count), dtype=complex)
-    for start in range(0, capture.n_frames, _CHUNK_FRAMES):
-        block = capture.frames[start : start + _CHUNK_FRAMES]
-        spectra = scipy.fft.fft(block, axis=1, norm="ortho")
-        np.divide(spectra[:, bins], x_active, out=transfer[start : start + _CHUNK_FRAMES])
+
+    def work(lo, hi):
+        for start in range(lo, hi, _CHUNK_FRAMES):
+            block = capture.frames[start : start + _CHUNK_FRAMES]
+            spectra = scipy.fft.fft(block, axis=1, norm="ortho")
+            np.divide(spectra[:, bins], x_active, out=transfer[start : start + _CHUNK_FRAMES])
+    _split_blocks(capture.n_frames, work)
     return ChannelFrameSeries(
         transfer=transfer, frame_rate_hz=capture.frame_rate_hz, spec=spec, window=window
     )

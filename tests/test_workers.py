@@ -1,0 +1,196 @@
+"""The frame-block loops on one and on two workers.
+
+The simulator's helper thread draws the noise ahead in stream order, and the
+receive chain splits its blocks into one contiguous range per worker. These
+tests hold the results to the same bytes whatever the worker count, and check
+that a failure on either thread reaches the caller with no thread left behind.
+"""
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+import scipy.fft
+
+from jcvitals import channel
+from jcvitals.channel import _CHUNK_FRAMES, Scene, simulate_capture
+from jcvitals.ranging import to_range_profiles
+from jcvitals.receiver import estimate_channel
+
+from conftest import make_target
+
+
+def run_chain(spec, symbol, n_frames, window=None, remove_static=False):
+    scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+    capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
+    series = estimate_channel(capture, symbol, window=window)
+    profiles = to_range_profiles(series, remove_static=remove_static)
+    return capture.frames, series.transfer, profiles.mean_power
+
+
+def fft_threads(monkeypatch) -> set:
+    """Patch the forward and inverse FFTs to record the threads that call them."""
+    threads = set()
+    for name in ("fft", "ifft"):
+        original = getattr(scipy.fft, name)
+
+        def recording(*args, _original=original, **kwargs):
+            threads.add(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, recording)
+    return threads
+
+
+# 4 * _CHUNK_FRAMES + 1 gives each of two workers more than one block, so a
+# power sum taken per worker and then added would round differently
+@pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
+                                      2 * _CHUNK_FRAMES + 1, 4 * _CHUNK_FRAMES + 1])
+@pytest.mark.parametrize("window", [None, "hann"])
+@pytest.mark.parametrize("remove_static", [False, True])
+def test_worker_count_does_not_change_the_bytes(small_spec, small_symbol, monkeypatch, n_frames,
+                                                window, remove_static):
+    results = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(channel, "_WORKERS", workers)
+        results[workers] = run_chain(small_spec, small_symbol, n_frames, window, remove_static)
+    for one, two in zip(results[1], results[2]):
+        assert one.dtype == two.dtype and one.shape == two.shape
+        assert one.tobytes() == two.tobytes()
+
+
+def test_same_bytes_under_frequent_thread_switches(small_spec, small_symbol, monkeypatch):
+    """The grids handed between the caller and the helper, and the transfer
+    rows both workers write, stay intact when the threads interleave often."""
+    n_frames = 6 * _CHUNK_FRAMES + 3
+    monkeypatch.setattr(channel, "_WORKERS", 1)
+    expected = [a.tobytes() for a in run_chain(small_spec, small_symbol, n_frames, "hann", True)]
+    monkeypatch.setattr(channel, "_WORKERS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = run_chain(small_spec, small_symbol, n_frames, "hann", True)
+            assert [a.tobytes() for a in got] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("cpus, expected", [({0}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
+    def test_from_the_cpu_affinity(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert channel._worker_count() == expected
+
+    @pytest.mark.parametrize("cpus, expected", [(None, 1), (1, 1), (8, 2)])
+    def test_from_the_cpu_count_without_affinity(self, monkeypatch, cpus, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert channel._worker_count() == expected
+
+    def test_one_cpu_starts_no_helper_and_gives_the_same_bytes(self, small_spec, small_symbol,
+                                                               monkeypatch):
+        n_frames = 2 * _CHUNK_FRAMES + 1
+        monkeypatch.setattr(channel, "_WORKERS", 2)
+        threads = fft_threads(monkeypatch)
+        two = run_chain(small_spec, small_symbol, n_frames)
+        assert threads - {threading.current_thread()}  # helpers ran blocks
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(channel, "_WORKERS", channel._worker_count())
+
+        def no_start(thread):
+            raise AssertionError(f"thread {thread.name} started with one CPU")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        threads.clear()
+        one = run_chain(small_spec, small_symbol, n_frames)
+        assert threads == {threading.current_thread()}
+        assert [a.tobytes() for a in one] == [b.tobytes() for b in two]
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def fail_on(monkeypatch, name, on_caller, call):
+    """Patch ``scipy.fft.<name>`` to raise on the ``call``-th call made on
+    the caller's thread (``on_caller``) or on any other thread."""
+    original = getattr(scipy.fft, name)
+    calls = []
+    caller = threading.current_thread()
+
+    def failing(*args, **kwargs):
+        if (threading.current_thread() is caller) == on_caller:
+            calls.append(1)
+            if len(calls) == call:
+                raise Boom(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, name, failing)
+
+
+class FailingGenerator:
+    """A random generator whose 2nd fill raises."""
+
+    def __init__(self, seed, _default_rng=np.random.default_rng):
+        self.rng, self.fills = _default_rng(seed), 0
+
+    def standard_normal(self, **kwargs):
+        self.fills += 1
+        if self.fills == 2:
+            raise Boom("noise")
+        return self.rng.standard_normal(**kwargs)
+
+
+class TestFailures:
+    """A failure on the caller's thread or on the helper's reaches the
+    caller, and the helper is joined before the call returns."""
+
+    @pytest.fixture
+    def capture(self, small_spec, small_symbol):
+        scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+        return simulate_capture(scene, small_symbol, small_spec, n_frames=6 * _CHUNK_FRAMES)
+
+    def run(self, monkeypatch, inject, stage):
+        monkeypatch.setattr(channel, "_WORKERS", 2)
+        before = threading.enumerate()
+        outcome = {}
+
+        def target():
+            inject()  # the caller's thread is this one
+            try:
+                stage()
+            except Boom as exc:
+                outcome["raised"] = exc
+
+        runner = threading.Thread(target=target)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the call hung"
+        assert isinstance(outcome.get("raised"), Boom)
+        assert threading.enumerate() == before
+
+    def test_simulator_caller(self, small_spec, small_symbol, monkeypatch):
+        scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+        self.run(monkeypatch, lambda: fail_on(monkeypatch, "ifft", True, 3),
+                 lambda: simulate_capture(scene, small_symbol, small_spec, n_frames=100))
+
+    def test_simulator_helper(self, small_spec, small_symbol, monkeypatch):
+        scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        self.run(monkeypatch, lambda: None,
+                 lambda: simulate_capture(scene, small_symbol, small_spec, n_frames=100))
+
+    @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+    def test_channel_estimate(self, capture, small_symbol, monkeypatch, on_caller):
+        self.run(monkeypatch, lambda: fail_on(monkeypatch, "fft", on_caller, 2),
+                 lambda: estimate_channel(capture, small_symbol))
+
+    @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+    def test_range_profiles(self, capture, small_symbol, monkeypatch, on_caller):
+        series = estimate_channel(capture, small_symbol)
+        self.run(monkeypatch, lambda: fail_on(monkeypatch, "ifft", on_caller, 2),
+                 lambda: to_range_profiles(series))
