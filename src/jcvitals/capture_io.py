@@ -7,9 +7,15 @@ header: magic "JCV1" | format version u32 | carrier f64 | sample rate f64 |
         samples_per_pulse u32 | frame rate f64 | frame count u32 |
         averaging factor u32 | num_subcarriers u32 | subcarrier spacing f64 |
         active start u32 | active count u32 | seed i64
+
+``read_capture`` checks the file size against the header before it allocates,
+then reads the payload once, with ``readinto``, into one complex64 array. The
+payload is copied, not mapped: an ``np.memmap`` capture dies with SIGBUS once
+its file is truncated and rewritten in place, as ``write_capture`` does.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -92,16 +98,22 @@ def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
             raise CaptureFormatError(
                 f"unsupported format version {version}, expected {FORMAT_VERSION}"
             )
-        payload = fh.read()
-
-    expected = frame_count * samples_per_pulse * _BYTES_PER_SAMPLE
-    if len(payload) != expected:
+        expected = frame_count * samples_per_pulse * _BYTES_PER_SAMPLE
+        size = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if size > expected:
+            raise CaptureFormatError(
+                f"{size - expected} trailing bytes after the payload: "
+                f"expected {_HEADER_SIZE + expected} bytes total"
+            )
+        if size == expected:
+            frames = np.empty((frame_count, samples_per_pulse), np.complex64)
+            size = fh.readinto(frames)  # short if the file shrank since fstat
+    if size != expected:
         raise CaptureFormatError(
-            f"truncated payload at byte offset {_HEADER_SIZE + len(payload)}: "
+            f"truncated payload at byte offset {_HEADER_SIZE + size}: "
             f"expected {_HEADER_SIZE + expected} bytes total"
         )
 
-    frames = np.frombuffer(payload, dtype=np.complex64).reshape(frame_count, samples_per_pulse)
     try:
         spec = WaveformSpec(
             carrier_frequency_hz=carrier_hz,

@@ -1,10 +1,13 @@
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcvitals import capture_io
 from jcvitals.capture_io import (
     _HEADER_FMT,
     _HEADER_SIZE,
@@ -14,7 +17,7 @@ from jcvitals.capture_io import (
     read_capture,
     write_capture,
 )
-from jcvitals.channel import _CHUNK_FRAMES, Scene, simulate_capture
+from jcvitals.channel import _CHUNK_FRAMES, Scene, SlowFastMatrix, simulate_capture
 from jcvitals.physio import DisplacementTrace
 from jcvitals.channel import SceneTarget
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
@@ -119,6 +122,42 @@ class TestErrors:
         with pytest.raises(CaptureFormatError, match=f"byte offset {len(raw) - 13}"):
             read_capture(path)
 
+    def test_over_long_payload_names_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.jcv"
+        write_capture(path, small_capture())
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(13))
+        with pytest.raises(CaptureFormatError, match=f"13 trailing bytes.*{len(raw)} bytes total"):
+            read_capture(path)
+
+    def test_huge_frame_count_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.jcv"
+        write_capture(path, small_capture())
+        patch_header(path, 6, 2**31 - 1)  # frame count: ~2.7 TB of payload declared
+        tracemalloc.start()
+        try:
+            with pytest.raises(CaptureFormatError, match="truncated payload"):
+                read_capture(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_short_read_is_truncation(self, tmp_path, monkeypatch):
+        # the file is whole when its size is checked but shrinks before the
+        # read ends: the read must not hand back the unfilled samples
+        class ShortReader(io.BufferedReader):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+        path = tmp_path / "short.jcv"
+        write_capture(path, small_capture())
+        size = path.stat().st_size
+        monkeypatch.setattr(capture_io, "open", lambda p, mode: ShortReader(io.FileIO(p, "r")),
+                            raising=False)
+        with pytest.raises(CaptureFormatError, match=f"byte offset {size - 8}:"):
+            read_capture(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "hdr.jcv"
         path.write_bytes(MAGIC + b"\x01")
@@ -154,3 +193,23 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(CaptureFormatError, match="non-finite"):
             read_capture(path)
+
+
+def test_read_holds_the_payload_once(tmp_path):
+    # the payload goes straight into the returned array: no bytes object of
+    # the same size beside it; what remains is the finiteness check's mask
+    spec = WaveformSpec()
+    rng = np.random.default_rng(5)
+    frames = rng.standard_normal((2000, 2 * spec.samples_per_pulse), np.float32).view(np.complex64)
+    path = tmp_path / "big.jcv"
+    write_capture(path, SlowFastMatrix(frames=frames, frame_rate_hz=50.0, spec=spec))
+    tracemalloc.start()
+    try:
+        loaded, _ = read_capture(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.frames.dtype == np.complex64
+    assert loaded.frames.flags.c_contiguous
+    assert np.array_equal(loaded.frames, frames)
+    assert peak <= 1.25 * loaded.frames.nbytes
