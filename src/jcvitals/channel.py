@@ -139,6 +139,13 @@ class SlowFastMatrix:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
+    def _relabelled(self, **changes) -> SlowFastMatrix:
+        """A copy with ``changes`` that keep its checks true (a nested band,
+        averaged frames), made without ``__post_init__``'s scan of every sample."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), **changes)
+        return out
+
 
 def max_unambiguous_range(spec: WaveformSpec) -> float:
     """One-way range beyond which a return wraps into the next pulse."""

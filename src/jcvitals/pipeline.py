@@ -2,7 +2,7 @@
 per-target phase tracking and vital-sign estimation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .channel import SlowFastMatrix
 from .ranging import RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series, to_range_profiles
@@ -116,5 +116,5 @@ def process_with_subcarriers(
     if config.averaging_factor > 1:
         capture = average_slow_time(capture, config.averaging_factor)
     widest = max(specs.values(), key=lambda spec: spec.active_count)
-    series = estimate_channel(replace(capture, spec=widest), symbol, window=config.window)
+    series = estimate_channel(capture._relabelled(spec=widest), symbol, window=config.window)
     return {count: _analyze(series.narrowed(spec), config) for count, spec in specs.items()}

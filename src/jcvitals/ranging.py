@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.signal import find_peaks
 
 from .constants import SPEED_OF_LIGHT
@@ -17,9 +18,9 @@ _POWER_FLOOR = 1e-300  # keeps log10 finite on exact zeros
 class RangeProfileSeries:
     """Slow-time mean power of the impulse response on a calibrated range axis.
 
-    ``mean_power`` (P) is mean |h|^2 per range bin over the frames, after
-    static-clutter removal when ``remove_static``. ``profiles`` (N x P |h|) is
-    built from ``series`` on each access; the receive chain never reads it.
+    ``mean_power`` (P) is mean |h|^2 per range bin over the frames (from the
+    band's lags, after static-clutter removal when ``remove_static``).
+    ``profiles`` (N x P |h|) is built on each access; the pipeline never reads it.
     """
 
     range_axis_m: np.ndarray
@@ -56,8 +57,17 @@ def to_range_profiles(
     remove_static: bool = False,
 ) -> RangeProfileSeries:
     """Mean |h|^2 per range bin on a fast-time axis scaled to meters, minus
-    the cable offset. The impulse response is streamed in frame blocks and
-    only the per-bin power sum is kept.
+    the cable offset, from the band's lag autocorrelation, not the P-grid.
+
+    With active bins b0 + g*a (a < A, grid step g) and z_n row n of the
+    tapered transfer (mean-removed when ``remove_static``), Wiener-Khinchin
+    gives mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
+    R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each frame block
+    goes into columns 0..A-1 of an m-point grid and is inverse-transformed.
+    Its |.|^2, summed in frame order, is the m-point DFT of R with the lags
+    taken mod m: exact, since m >= 2A-1 puts the 2A-1 lags on distinct
+    residues. Lag d is added into bin (g d) mod P, where lags collide when
+    2A-1 > P/g, and one P-point inverse DFT gives the power, clamped at 0.
 
     ``remove_static`` subtracts the per-bin slow-time mean of the complex
     impulse response before taking magnitudes (static-clutter suppression,
@@ -66,12 +76,16 @@ def to_range_profiles(
     if cable_offset_m < 0:
         raise ValueError("cable_offset_m must be >= 0")
     spec = series.spec
-    power = np.zeros(spec.samples_per_pulse)
-    for block_power in series.impulse_chunks(_block_power, remove_static):
-        power += block_power  # in frame order, as one serial pass adds them
-    power /= series.n_frames
+    p, count = spec.samples_per_pulse, spec.active_count
+    m = scipy.fft.next_fast_len(2 * count - 1)
+    # block sums added in frame order, as one serial pass adds them
+    spectrum = sum(series.impulse_chunks(_block_power, remove_static, size=m))
+    d = np.arange(1 - count, count)
+    grid = np.zeros(p, dtype=complex)
+    np.add.at(grid, spec.grid_step * d % p, m * scipy.fft.fft(spectrum)[d])
+    power = np.maximum(scipy.fft.ifft(grid).real / (series.n_frames * p), 0.0)
     bin_width = SPEED_OF_LIGHT / (2.0 * spec.sample_rate_hz)
-    axis = np.arange(spec.samples_per_pulse) * bin_width - cable_offset_m
+    axis = np.arange(p) * bin_width - cable_offset_m
     resolution = SPEED_OF_LIGHT / (2.0 * spec.occupied_bandwidth_hz)
     return RangeProfileSeries(
         range_axis_m=axis,
@@ -84,7 +98,7 @@ def to_range_profiles(
 
 
 def _block_power(h: np.ndarray) -> np.ndarray:
-    """Sum of |h|^2 over the rows of one block, per range bin."""
+    """Sum of |h|^2 over the rows of one block, per column."""
     parts = h.view(float)  # re, im interleaved
     parts *= parts
     sums = parts.sum(axis=0)

@@ -3,10 +3,10 @@ derived from it, and coherent slow-time averaging of the raw frames.
 
 A capture goes through one fast-time FFT, in blocks of ``_CHUNK_FRAMES``
 frames and in the capture's own precision (JCV1 stores complex64). Only the
-N x A transfer matrix is kept, as complex128. The N x P impulse response is
-never stored: the receive chain reads it block by block (``impulse_chunks``)
-or one range bin at a time (``bin_series``), so working memory beyond the
-transfer is O(chunk * P) per worker.
+N x A transfer matrix is kept, as complex128. The receive chain never builds
+the N x P impulse response: it reads one range bin at a time (``bin_series``)
+and range power from m-point block transforms of the band, m >= 2A - 1
+(``to_range_profiles``); working memory beyond the transfer is O(chunk * m).
 """
 from __future__ import annotations
 
@@ -50,26 +50,30 @@ class ChannelFrameSeries:
     def _taps(self) -> np.ndarray | float:
         return 1.0 if self.window is None else get_window(self.window, self.spec.active_count)
 
-    def impulse_chunks(self, reduce=np.asarray, remove_static: bool = False) -> list:
+    def impulse_chunks(self, reduce=np.asarray, remove_static: bool = False,
+                       size: int | None = None) -> list:
         """``reduce(h)`` for consecutive row blocks h of the impulse response,
         at most ``_CHUNK_FRAMES`` rows each, in frame order. Each worker runs
         one contiguous range of blocks.
 
         ``remove_static`` subtracts the per-bin slow-time mean of h, done on
         the transfer before the inverse DFT (the two are equal by linearity).
+        With ``size``, the band goes into columns 0..A-1 of a ``size``-point
+        grid instead of its P-grid bins (see ``ranging.to_range_profiles``).
         """
         p = self.spec.samples_per_pulse
-        bins = self.spec.active_bins % p
+        columns = self.spec.active_bins % p if size is None else slice(0, self.spec.active_count)
+        size = size or p
         taps = self._taps()
         static = self.transfer.mean(axis=0) if remove_static else 0.0
 
         def work(lo, hi):
-            grid = np.zeros((min(_CHUNK_FRAMES, hi - lo), p), dtype=complex)
+            grid = np.zeros((min(_CHUNK_FRAMES, hi - lo), size), dtype=complex)
             out = []
             for start in range(lo, hi, _CHUNK_FRAMES):
                 rows = self.transfer[start : start + _CHUNK_FRAMES]
                 block = grid[: rows.shape[0]]
-                block[:, bins] = (rows - static) * taps  # the other columns stay zero
+                block[:, columns] = (rows - static) * taps  # the other columns stay zero
                 out.append(reduce(scipy.fft.ifft(block, axis=1)))
             return out
 
@@ -160,4 +164,4 @@ def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:
     if dropped:
         log.warning("slow-time averaging drops %d trailing frame(s)", dropped)
     frames = capture.frames[: blocks * factor].reshape(blocks, factor, -1).mean(axis=1)
-    return replace(capture, frames=frames, frame_rate_hz=capture.frame_rate_hz / factor)
+    return capture._relabelled(frames=frames, frame_rate_hz=capture.frame_rate_hz / factor)

@@ -1,9 +1,10 @@
 """The streamed receive chain against its full-matrix definitions.
 
-The chain keeps only the N x A transfer matrix. Range power is accumulated
-over frame blocks of inverse DFTs, the series at a bin is a dot product of the
-transfer, and a subcarrier sweep estimates the channel once at its widest
-count. These tests pin each shortcut to the quantity it replaces.
+The chain keeps only the N x A transfer matrix. Range power is read from the
+band's lag autocorrelation, accumulated over frame blocks of compact inverse
+DFTs, the series at a bin is a dot product of the transfer, and a subcarrier
+sweep estimates the channel once at its widest count. These tests pin each
+shortcut to the quantity it replaces.
 """
 import logging
 import tracemalloc
@@ -11,11 +12,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import get_window
 
 from jcvitals import pipeline
+from jcvitals.channel import SlowFastMatrix
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.ranging import to_range_profiles
 from jcvitals.receiver import _CHUNK_FRAMES, ChannelFrameSeries
@@ -74,6 +77,54 @@ class TestStreamedDefinitions:
         np.testing.assert_allclose(series.impulse, h, rtol=1e-12, atol=1e-12 * peak)
         np.testing.assert_allclose(profiles.profiles, np.abs(h_clean), rtol=1e-12,
                                    atol=1e-12 * peak)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        step=st.integers(1, 3),
+        count=st.integers(1, 12),
+        wider=st.integers(0, 4),
+        extra=st.integers(0, 8),
+        n_frames=st.integers(1, 2 * _CHUNK_FRAMES + 1),
+        window=st.sampled_from([None, "hann"]),
+        remove_static=st.booleans(),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(step=1, count=1, wider=0, extra=0, n_frames=3, window="hann", remove_static=False,
+             flat=False, seed=0)
+    @example(step=3, count=8, wider=0, extra=0, n_frames=_CHUNK_FRAMES + 1, window="hann",
+             remove_static=True, flat=False, seed=1)
+    @example(step=2, count=7, wider=2, extra=8, n_frames=5, window=None, remove_static=False,
+             flat=False, seed=2)
+    @example(step=1, count=5, wider=0, extra=0, n_frames=5, window=None, remove_static=False,
+             flat=True, seed=3)
+    def test_power_from_lags_where_lags_alias(self, step, count, wider, extra, n_frames, window,
+                                              remove_static, flat, seed):
+        """P runs from the subcarrier span up to 8 bins over it, so the 2A-1
+        lags collide on the P-grid whenever 2A-1 > P/g. ``flat`` rows are one
+        scalar times a flat band: their power has exact nulls, which rounding
+        would push below zero."""
+        subcarriers = count + wider
+        spec = select_subcarriers(
+            WaveformSpec(num_subcarriers=subcarriers, samples_per_pulse=subcarriers * step + extra,
+                         subcarrier_spacing_hz=step * 1.0e6), count)
+        rng = np.random.default_rng(seed)
+        if flat:
+            scalars = rng.standard_normal(n_frames) + 1j * rng.standard_normal(n_frames)
+            transfer = scalars[:, None] * np.ones(count)
+        else:
+            shape = (n_frames, count)
+            transfer = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        series = ChannelFrameSeries(transfer=transfer, frame_rate_hz=50.0, spec=spec,
+                                    window=window)
+
+        h = full_impulse(series)
+        h_clean = h - h.mean(axis=0) if remove_static else h
+        power = np.mean(np.abs(h_clean) ** 2, axis=0)
+        scale = np.mean(np.abs(h) ** 2, axis=0).max()
+        mean_power = to_range_profiles(series, remove_static=remove_static).mean_power
+        np.testing.assert_allclose(mean_power, power, rtol=1e-12, atol=1e-12 * scale)
+        assert np.all(mean_power >= 0)
 
     def test_narrowing_rejects_a_band_that_is_not_nested(self, small_spec):
         narrow = select_subcarriers(small_spec, 8)
@@ -140,6 +191,43 @@ class TestSubcarrierSweep:
         monkeypatch.setattr(pipeline, "estimate_channel", counting)
         process_with_subcarriers(two_person_capture, [40, 1024, 10], symbol=default_symbol)
         assert calls == [1024]
+
+    @pytest.mark.parametrize("config", [ProcessingConfig(), ProcessingConfig(averaging_factor=10)],
+                             ids=["default", "averaged"])
+    def test_capture_not_validated_again(self, two_person_capture, default_symbol, monkeypatch,
+                                         config):
+        """Relabelling the checked capture with the widest band, or averaging
+        it, does not scan every sample again."""
+        def validate(capture):
+            raise AssertionError("a SlowFastMatrix was validated inside the receive chain")
+
+        monkeypatch.setattr(SlowFastMatrix, "__post_init__", validate)
+        results = process_with_subcarriers(two_person_capture, [40, 640], symbol=default_symbol,
+                                           config=config)
+        assert list(results) == [40, 640]
+
+    def test_range_power_transforms_under_a_quarter_of_the_p_grid(self, default_spec,
+                                                                   monkeypatch):
+        """Over the sweep, range power inverse-transforms next_fast_len(2A-1)
+        points per frame and count, not P: 4,588 of 8 * 2,500 per frame."""
+        n_frames = 250
+        rng = np.random.default_rng(0)
+        shape = (n_frames, default_spec.active_count)
+        series = ChannelFrameSeries(
+            transfer=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            frame_rate_hz=50.0, spec=default_spec)
+        points = []
+        original = scipy.fft.ifft
+
+        def counting(x, *args, **kwargs):
+            points.append(np.size(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "ifft", counting)
+        for count in SWEEP_COUNTS:
+            to_range_profiles(series.narrowed(select_subcarriers(default_spec, count)))
+        full = len(SWEEP_COUNTS) * n_frames * default_spec.samples_per_pulse
+        assert sum(points) <= 0.25 * full
 
     def test_averaging_warning_logged_once(self, two_person_capture, default_symbol, caplog):
         config = ProcessingConfig(averaging_factor=3)  # 1000 frames: drops one
