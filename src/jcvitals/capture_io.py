@@ -8,6 +8,10 @@ header: magic "JCV1" | format version u32 | carrier f64 | sample rate f64 |
         averaging factor u32 | num_subcarriers u32 | subcarrier spacing f64 |
         active start u32 | active count u32 | seed i64
 
+The averaging factor is metadata: ``jcvitals simulate`` writes 1, and
+``process`` records the field in its manifest but does not apply it; the
+config's ``averaging_factor`` decides.
+
 ``read_capture`` checks the file size against the header before it allocates,
 then reads the payload once, with ``readinto``, into one complex64 array. The
 payload is copied, not mapped: an ``np.memmap`` capture dies with SIGBUS once

@@ -57,14 +57,20 @@ class _Inline(Executor):
         return done
 
 
-def _split_blocks(n_frames: int, work) -> list:
-    """``work(lo, hi)`` on ``_WORKERS`` ranges of whole blocks covering ``[0, n_frames)``, the
-    first on the caller's thread and a joined helper only for the rest; results in frame order."""
+def _split_blocks(n_frames: int, block) -> list:
+    """``block(start, stop)`` once per ``_CHUNK_FRAMES`` block of ``[0, n_frames)``, results in
+    frame order. Each of ``_WORKERS`` workers runs one contiguous range of blocks, the first on
+    the caller's thread; the helper gets the rest, and is joined before this returns."""
     per_worker = -(-n_frames // (_CHUNK_FRAMES * _WORKERS)) * _CHUNK_FRAMES
+
+    def run(lo):
+        hi = min(lo + per_worker, n_frames)
+        return [block(start, min(start + _CHUNK_FRAMES, hi))
+                for start in range(lo, hi, _CHUNK_FRAMES)]
+
     with ThreadPoolExecutor(1) as helper:
-        later = [helper.submit(work, lo, min(lo + per_worker, n_frames))
-                 for lo in range(per_worker, n_frames, per_worker)]
-        return [work(0, min(per_worker, n_frames))] + [f.result() for f in later]
+        later = [helper.submit(run, lo) for lo in range(per_worker, n_frames, per_worker)]
+        return run(0) + [r for f in later for r in f.result()]
 
 
 @dataclass

@@ -146,7 +146,8 @@ def cmd_process(args) -> int:
         export_dir = Path(args.export_dir)
         _export_results(result, scenario_id, export_dir, capture.spec, kinds=args.export)
         _write_manifest(export_dir / f"{scenario_id}_process.manifest.json", scenario,
-                        "process", {"capture": str(args.capture), "capture_seed": meta.seed})
+                        "process", {"capture": str(args.capture), "capture_seed": meta.seed,
+                                    "capture_averaging_factor": meta.averaging_factor})
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import scipy.fft
 from scipy.signal import find_peaks
 
+from .channel import _split_blocks
 from .constants import SPEED_OF_LIGHT
 from .csv_export import write_csv
 from .receiver import ChannelFrameSeries
@@ -32,7 +33,10 @@ class RangeProfileSeries:
 
     @property
     def profiles(self) -> np.ndarray:
-        return np.concatenate(self.series.impulse_chunks(np.abs, self.remove_static))
+        h = self.series.impulse
+        if self.remove_static:
+            h -= h.mean(axis=0)
+        return np.abs(h)
 
     def mean_power_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
@@ -63,11 +67,12 @@ def to_range_profiles(
     tapered transfer (mean-removed when ``remove_static``), Wiener-Khinchin
     gives mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
     R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each frame block
-    goes into columns 0..A-1 of an m-point grid and is inverse-transformed.
-    Its |.|^2, summed in frame order, is the m-point DFT of R with the lags
-    taken mod m: exact, since m >= 2A-1 puts the 2A-1 lags on distinct
-    residues. Lag d is added into bin (g d) mod P, where lags collide when
-    2A-1 > P/g, and one P-point inverse DFT gives the power, clamped at 0.
+    goes into columns 0..A-1 of a zero-filled m-point grid, m =
+    next_fast_len(2A-1), and is inverse-transformed. Its |.|^2, summed in
+    frame order, is the m-point DFT of R with the lags taken mod m: exact,
+    since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is added
+    into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one P-point
+    inverse DFT gives the power, clamped at 0.
 
     ``remove_static`` subtracts the per-bin slow-time mean of the complex
     impulse response before taking magnitudes (static-clutter suppression,
@@ -78,8 +83,16 @@ def to_range_profiles(
     spec = series.spec
     p, count = spec.samples_per_pulse, spec.active_count
     m = scipy.fft.next_fast_len(2 * count - 1)
+    taps = series._taps()
+    static = series.transfer.mean(axis=0) if remove_static else 0.0  # = the mean of h, by linearity
+
+    def block(start, stop):
+        z = np.zeros((stop - start, m), dtype=complex)
+        z[:, :count] = (series.transfer[start:stop] - static) * taps
+        return _block_power(scipy.fft.ifft(z, axis=1, overwrite_x=True))
+
     # block sums added in frame order, as one serial pass adds them
-    spectrum = sum(series.impulse_chunks(_block_power, remove_static, size=m))
+    spectrum = sum(_split_blocks(series.n_frames, block))
     d = np.arange(1 - count, count)
     grid = np.zeros(p, dtype=complex)
     np.add.at(grid, spec.grid_step * d % p, m * scipy.fft.fft(spectrum)[d])

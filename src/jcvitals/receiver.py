@@ -4,9 +4,8 @@ derived from it, and coherent slow-time averaging of the raw frames.
 A capture goes through one fast-time FFT, in blocks of ``_CHUNK_FRAMES``
 frames and in the capture's own precision (JCV1 stores complex64). Only the
 N x A transfer matrix is kept, as complex128. The receive chain never builds
-the N x P impulse response: it reads one range bin at a time (``bin_series``)
-and range power from m-point block transforms of the band, m >= 2A - 1
-(``to_range_profiles``); working memory beyond the transfer is O(chunk * m).
+the N x P impulse response: it reads one range bin at a time (``bin_series``),
+and ``ranging.to_range_profiles`` reads range power from the band's lags.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import numpy as np
 import scipy.fft
 from scipy.signal import get_window
 
-from .channel import _CHUNK_FRAMES, SlowFastMatrix, _split_blocks
+from .channel import _CHUNK_FRAMES, SlowFastMatrix, _split_blocks  # noqa: F401 (block size)
 from .waveform import BasebandSymbol, WaveformSpec
 
 log = logging.getLogger(__name__)
@@ -34,8 +33,8 @@ class ChannelFrameSeries:
     The impulse response h (N x P) is the inverse DFT of each transfer row,
     tapered by ``window`` and embedded at the active-band grid positions
     (zero-filled elsewhere). It is computed from ``transfer`` when read:
-    ``impulse_chunks`` gives it in frame blocks, ``bin_series`` gives one
-    column, and ``impulse`` builds the whole matrix (uncached).
+    ``bin_series`` gives one column, and ``impulse`` builds the whole matrix
+    (uncached).
     """
 
     transfer: np.ndarray
@@ -50,39 +49,13 @@ class ChannelFrameSeries:
     def _taps(self) -> np.ndarray | float:
         return 1.0 if self.window is None else get_window(self.window, self.spec.active_count)
 
-    def impulse_chunks(self, reduce=np.asarray, remove_static: bool = False,
-                       size: int | None = None) -> list:
-        """``reduce(h)`` for consecutive row blocks h of the impulse response,
-        at most ``_CHUNK_FRAMES`` rows each, in frame order. Each worker runs
-        one contiguous range of blocks.
-
-        ``remove_static`` subtracts the per-bin slow-time mean of h, done on
-        the transfer before the inverse DFT (the two are equal by linearity).
-        With ``size``, the band goes into columns 0..A-1 of a ``size``-point
-        grid instead of its P-grid bins (see ``ranging.to_range_profiles``).
-        """
-        p = self.spec.samples_per_pulse
-        columns = self.spec.active_bins % p if size is None else slice(0, self.spec.active_count)
-        size = size or p
-        taps = self._taps()
-        static = self.transfer.mean(axis=0) if remove_static else 0.0
-
-        def work(lo, hi):
-            grid = np.zeros((min(_CHUNK_FRAMES, hi - lo), size), dtype=complex)
-            out = []
-            for start in range(lo, hi, _CHUNK_FRAMES):
-                rows = self.transfer[start : start + _CHUNK_FRAMES]
-                block = grid[: rows.shape[0]]
-                block[:, columns] = (rows - static) * taps  # the other columns stay zero
-                out.append(reduce(scipy.fft.ifft(block, axis=1)))
-            return out
-
-        return [r for part in _split_blocks(self.n_frames, work) for r in part]
-
     @property
     def impulse(self) -> np.ndarray:
         """N x P complex impulse response, built on each access."""
-        return np.concatenate(self.impulse_chunks())
+        p = self.spec.samples_per_pulse
+        grid = np.zeros((self.n_frames, p), dtype=complex)
+        grid[:, self.spec.active_bins % p] = self.transfer * self._taps()
+        return scipy.fft.ifft(grid, axis=1, overwrite_x=True)
 
     def bin_series(self, bin_index: int) -> np.ndarray:
         """``impulse[:, bin_index]`` as one length-A dot product per frame."""
@@ -140,12 +113,11 @@ def estimate_channel(
     bins = spec.active_bins % spec.samples_per_pulse
     transfer = np.empty((capture.n_frames, spec.active_count), dtype=complex)
 
-    def work(lo, hi):
-        for start in range(lo, hi, _CHUNK_FRAMES):
-            block = capture.frames[start : start + _CHUNK_FRAMES]
-            spectra = scipy.fft.fft(block, axis=1, norm="ortho")
-            np.divide(spectra[:, bins], x_active, out=transfer[start : start + _CHUNK_FRAMES])
-    _split_blocks(capture.n_frames, work)
+    def block(start, stop):
+        spectra = scipy.fft.fft(capture.frames[start:stop], axis=1, norm="ortho")
+        np.divide(spectra[:, bins], x_active, out=transfer[start:stop])
+
+    _split_blocks(capture.n_frames, block)
     return ChannelFrameSeries(
         transfer=transfer, frame_rate_hz=capture.frame_rate_hz, spec=spec, window=window
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from jcvitals.capture_io import read_capture, write_capture
 from jcvitals.cli import main
 
 
@@ -134,6 +135,26 @@ class TestProcess:
         assert "cli_test_target0_phase.csv" in names
         assert "cli_test_target0_br_spectrum.csv" in names
         assert "cli_test_process.manifest.json" in names
+
+    def test_process_manifest_records_the_capture_averaging_factor(self, tmp_path, capsys):
+        """The JCV1 averaging factor is recorded, not applied: the config's decides."""
+        config = write_config(tmp_path)
+        cap, tagged = tmp_path / "cap.jcv", tmp_path / "tagged.jcv"
+        run_cli(capsys, "simulate", "--config", str(config), "--output", str(cap))
+        capture, meta = read_capture(cap)
+        assert meta.averaging_factor == 1  # what simulate writes
+        write_capture(tagged, capture, averaging_factor=4, seed=meta.seed)
+        records = {}
+        for path in (cap, tagged):
+            export = tmp_path / f"{path.stem}_exports"
+            code, stdout, _ = run_cli(capsys, "process", "--capture", str(path),
+                                      "--config", str(config), "--export-dir", str(export))
+            assert code == 0
+            manifest = json.loads((export / "cli_test_process.manifest.json").read_text())
+            assert manifest["capture_seed"] == 3
+            records[manifest["capture_averaging_factor"]] = stdout
+        assert list(records) == [1, 4]
+        assert records[1] == records[4]
 
     def test_export_toggles(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -268,3 +268,21 @@ def test_process_capture_peak_memory_within_one_and_a_half_captures(default_spec
         tracemalloc.stop()
     assert len(result.targets) == 1
     assert peak <= 1.5 * capture.frames.nbytes
+
+
+def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
+    rng = np.random.default_rng(0)
+    shape = (2000, default_spec.active_count)
+    series = ChannelFrameSeries(
+        transfer=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        frame_rate_hz=50.0, spec=default_spec, window="hann")
+    profiles = to_range_profiles(series, remove_static=True)
+    full = series.n_frames * default_spec.samples_per_pulse * 16
+    for build in (lambda: series.impulse, lambda: profiles.profiles):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * full

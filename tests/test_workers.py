@@ -77,6 +77,29 @@ def test_same_bytes_under_frequent_thread_switches(small_spec, small_symbol, mon
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
+                                      4 * _CHUNK_FRAMES + 1])
+def test_split_blocks_calls_each_block_once_in_frame_order(monkeypatch, workers, n_frames):
+    monkeypatch.setattr(channel, "_WORKERS", workers)
+    calls = []
+
+    def block(start, stop):
+        calls.append((start, stop, threading.current_thread()))
+        return start, stop
+
+    results = channel._split_blocks(n_frames, block)
+    spans = sorted((start, stop) for start, stop, _ in calls)
+    assert len(set(spans)) == len(spans) == -(-n_frames // _CHUNK_FRAMES)
+    assert all(0 < stop - start <= _CHUNK_FRAMES for start, stop in spans)
+    assert [i for start, stop in spans for i in range(start, stop)] == list(range(n_frames))
+    assert results == spans
+    # the first range on the caller's thread, the helper only for the rest
+    assert [t for start, _, t in calls if start == 0] == [threading.current_thread()]
+    helpers = {thread for *_, thread in calls} - {threading.current_thread()}
+    assert len(helpers) == (workers > 1 and n_frames > _CHUNK_FRAMES)
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("cpus, expected", [({0}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
     def test_from_the_cpu_affinity(self, monkeypatch, cpus, expected):
