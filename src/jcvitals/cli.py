@@ -16,7 +16,7 @@ import scipy
 from . import __version__
 from .capture_io import CaptureFormatError, read_capture, write_capture
 from .channel import simulate_capture
-from .config import ConfigError, Scenario, config_digest, load_scenario
+from .config import ConfigError, Scenario, config_digest, load_scenario, validate_scenario
 from .csv_export import write_csv
 from .pipeline import process_capture, process_with_subcarriers
 from .report import compare_records, render_table
@@ -42,7 +42,7 @@ def _load_scenario_arg(args) -> Scenario:
     if getattr(args, "config", None):
         scenario = load_scenario(args.config)
         if getattr(args, "seed", None) is not None:
-            scenario.raw["seed"] = args.seed
+            return validate_scenario({**scenario.raw, "seed": args.seed})
         return scenario
     if getattr(args, "scenario", None):
         return get_scenario(args.scenario, seed=getattr(args, "seed", None))
@@ -296,9 +296,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CaptureFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

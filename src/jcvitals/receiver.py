@@ -62,7 +62,10 @@ class ChannelFrameSeries:
         p = self.spec.samples_per_pulse
         turns = (self.spec.active_bins % p) * bin_index % p  # exact integer phase
         steering = np.exp(2j * np.pi * turns / p) / p * self._taps()
-        return self.transfer @ steering
+        # not ``transfer @ steering``: that is a BLAS zgemv, whose OpenBLAS
+        # threads keep spinning after the call and take the core the next
+        # block loop needs; einsum's default path calls no BLAS
+        return np.einsum("na,a->n", self.transfer, steering)
 
     def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
         """This estimate restricted to ``spec``'s band, a centred band nested

@@ -18,6 +18,11 @@ from scipy.signal import find_peaks, get_window
 
 from .csv_export import write_csv
 
+# a heart-band peak is checked against these breathing harmonics, and flagged
+# when a second heart-band peak reaches this fraction of the band maximum
+_HARMONIC_ORDERS = (2, 3, 4, 5)
+_ALTERNATIVE_PEAK_RATIO = 0.5
+
 
 @dataclass(eq=False)
 class PhaseTrack:
@@ -46,8 +51,6 @@ class VitalsConfig:
     # obstructed heart lines stay below ~0.07 (see vitals threshold tests)
     confidence_threshold: float = 0.1
     harmonic_tolerance_hz: float = 0.05
-    harmonic_orders: tuple = (2, 3, 4, 5)
-    alternative_peak_ratio: float = 0.5
     min_duration_s: float = 15.0
     detrend: bool = True
 
@@ -261,12 +264,12 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
     # the collision check runs on the band peak itself: a strong breathing
     # harmonic can top the heart band even when no heart rate is credible
     if br_present and br.peak_hz > 0:
-        orders = np.array(config.harmonic_orders)
+        orders = np.array(_HARMONIC_ORDERS)
         errs = np.abs(hr.peak_hz - orders * br.peak_hz)
         k = int(orders[np.argmin(errs)])
         if errs.min() <= tol:
             alt = _alternative_peak(hr, tol)
-            if alt is not None and alt[1] >= config.alternative_peak_ratio * hr.mags.max():
+            if alt is not None and alt[1] >= _ALTERNATIVE_PEAK_RATIO * hr.mags.max():
                 harmonic_flag = True
                 harmonic_order = k
                 alternative_hz = alt[0]

@@ -97,6 +97,16 @@ class TestSimulate:
         assert code == 0
         assert json.loads(stdout)["seed"] == 77
 
+    def test_config_seed_override_is_validated(self, tmp_path, capsys):
+        # the overriding seed meets the schema, as it does for a built-in scenario
+        config = write_config(tmp_path)
+        for source in (("--config", str(config)), ("--scenario", "holding_breath")):
+            code, _, stderr = run_cli(capsys, "simulate", *source, "--seed", "-1",
+                                      "--output", str(tmp_path / "x.jcv"))
+            assert code == 1, source
+            assert "config error: at seed" in stderr
+        assert not (tmp_path / "x.jcv").exists()
+
 
 class TestProcess:
     def test_process_single_target(self, tmp_path, capsys):

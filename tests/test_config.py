@@ -218,6 +218,39 @@ class TestScenarioLibrary:
         for item in describe_scenarios():
             assert item["description"]
 
+    def test_builtin_configs_are_pinned(self):
+        # the library is the accuracy oracle: editing a scenario updates its pin
+        pinned = {
+            "angle_0": "6623a52420569baf4432dc603e67c9c3c76d6714307ce90bda74db3b040dee26",
+            "angle_30": "5b2fd9b2ae1b5abeaa4fb75816cc1faa5d12d564d2f29401b3ee7a65c6b8a4d3",
+            "angle_60": "31c020a230318690770ef1dca0c8648a199759eb7ed81ef59f8f80c0cdae2831",
+            "angle_90": "4ead80adb844e8fc98c732b77b511e7c698340d639378bde4169feeba461f183",
+            "angle_m180": "0bb7a20c2a395f4cf71e9014b46ccee87357feea10334ae91143df2b537953a7",
+            "angle_m30": "bf99d94b824223918e8a4f74c96a1ae60470879ae6f96b98d03451420a3ad3c2",
+            "angle_m60": "1bf087e2ac3b40b96cba2188a2486ec02415954b74e00bd13a36ac78dce28d59",
+            "angle_m90": "03d3df89cdd45b3bff1bbc3b6e4f0b54a07bfc375c2219d855147870b64a2e32",
+            "desk_moving": "e107282239ceafe293e439303b9f34f65d494c5909cd37a2e12a786ef2b1d7b3",
+            "harmonic_confusion": "a3271601cbc96575d7f1033e7c44d475b3579d24b747d7f3e9fa96a57cf517f5",
+            "holding_breath": "f91669365c93e202aa58fd14b7ef99d51b56fcd8619b86a5c03ed088673e67af",
+            "intermittent_breathing": "c175c687a4a924d0050698d035a9d56f7dc03495ab3c4a9afbab4dc7e3907c68",
+            "lying_blanket": "2582f3206778e9db5a245acac083f45c59e3058fcbd33247fe52992530e082da",
+            "lying_tshirt": "a895013ad0d335eebf42f18b87e1c4a353cd3f000412547825611ca8bda00fbf",
+            "nlos": "83e1e6133c92353978b8c302ec86283bfcd0ddecaa6ff717bf27c534efa421ef",
+            "sitting_still_1m": "ea4fdb0042afeb68fee81e62dbb529d24fdd9592132594f4a0db0f5c273a5d87",
+            "sitting_still_2m": "426dd84e23b00acd094444146a4f2b1bb07fff171a31530ee3dca4273a5b9f3d",
+            "sitting_still_2m_sweatshirt": "00b0161ae950c838d56cf969c442c189ef5e840b8b1bc5d4f3a91b1685ac8458",
+            "sitting_still_3m": "9c4d9f9fcc12ff4a1e83d00011f49ff4bdd33ba3b7d7575d1926a30fc12dda52",
+            "sitting_still_4m": "b3d76babb931ed2ea1035795d4a990c42ad17adcf7715f5a017c688e9c707e51",
+            "sitting_still_4m_sweatshirt": "299ceaa78a5e747cc9a2f12e2652a978a47997af5fbc0245909741c128236ed4",
+            "standing_moving": "0b4de19ec5eb35c22a280cec70d979917c2d8611297d3cbd94b437a891a7bd40",
+            "standing_still": "2c27d88ca315d143d00d772ed505bf40cab6f8e1833708a87edcdc0c232629b6",
+            "three_persons": "76028be02e4478a5ef07c44736aa1b6a2b5cba81ea87b707e9bc413d514efe2d",
+            "two_persons": "c4ac73c4e741df6eaf303409ab291da2ee666d36c0325d7690e822aa2a38504b",
+            "walking_fast": "abdbe03ddfb08b9af39664a57c59f4be5a4ad165d29f4c076c275aafeeca5bc5",
+            "walking_slow": "64e54af18986bd136dd6d31412dadb1b50c4add28892d8ecff2ec2bc5e1a3a92",
+        }
+        assert {sid: config_digest(get_scenario(sid).raw) for sid in scenario_ids()} == pinned
+
     def test_builtin_scenes_buildable(self):
         # spot-check a representative subset end to end (traces + scene)
         for sid in ("sitting_still_2m", "nlos", "two_persons", "walking_fast",
