@@ -7,10 +7,11 @@ applied in the frequency domain (per-subcarrier linear phase) so sub-mm
 motion survives; time-domain frames are the inverse DFT of the delayed band,
 which is exact for gapless periodic pulse transmission.
 
-The simulator works in blocks of ``_CHUNK_FRAMES`` frames, each held in one
-cache-resident frequency grid of P bins. Noise is drawn into that grid as
-circular complex white noise on every bin, the active band's signal is added
-to it, and one unitary (ortho) inverse DFT gives the block's frames. A
+The simulator works in blocks of ``_CHUNK_FRAMES`` frames, each drawn into its
+own cache-resident frequency grid of P bins. Noise is drawn into that grid as
+circular complex white noise on every bin, the active band's signal (the
+block's rows of the transfer, times the pulse spectrum) is added to it in one
+indexed add, and one unitary (ortho) inverse DFT gives the block's frames. A
 unitary transform maps white noise to white noise of the same per-sample
 variance, so the frames are white over the whole sampled band, as if the
 noise had been added in the time domain. The subcarriers are evenly spaced,
@@ -158,11 +159,6 @@ def max_unambiguous_range(spec: WaveformSpec) -> float:
     return SPEED_OF_LIGHT * spec.pulse_duration_s / 2.0
 
 
-def _round_trip_delays(scene: Scene, target: SceneTarget, n_frames: int) -> np.ndarray:
-    path = target.rest_range_m + target.trace.samples[:n_frames] + scene.cable_delay_range_m
-    return 2.0 * path / SPEED_OF_LIGHT
-
-
 def simulate_capture(
     scene: Scene,
     symbol: BasebandSymbol,
@@ -197,11 +193,7 @@ def simulate_capture(
     elif frame_rate_hz is None:
         raise ValueError("frame_rate_hz is required for a scene with no targets")
 
-    for t in scene.targets:
-        if len(t.trace.samples) < n_frames:
-            raise ValueError("target trace shorter than n_frames")
-
-    blocks = _transfer_blocks(scene, spec, n_frames)  # checks for aliased returns
+    transfer = _transfer(scene, spec, n_frames)  # checks trace lengths and aliased returns
     sigma = None
     if scene.snr_db is not None and math.isfinite(scene.snr_db):
         if not scene.targets:
@@ -212,42 +204,36 @@ def simulate_capture(
         noise_power = target_power / 10.0 ** (scene.snr_db / 10.0)
         sigma = math.sqrt(noise_power / 2.0)
     rng = np.random.default_rng(rng_seed)
+    p = spec.samples_per_pulse
 
-    def draw(block):
+    def draw(start):
+        # a block-sized grid, not rows of ``frames``: the helper is the slower
+        # thread, and writing to a cache-resident grid keeps it fastest
+        grid = np.empty((min(_CHUNK_FRAMES, n_frames - start), p), dtype=complex)
         if sigma is None:
-            block.fill(0.0)
+            grid.fill(0.0)
         else:
             # I and Q interleaved: block by block, the same stream as one whole draw
-            noise = block.view(np.float64)
+            noise = grid.view(np.float64)
             rng.standard_normal(out=noise)
             noise *= sigma
-        return block
+        return grid
 
-    # the band as two strided column ranges of the grid: the carrier bin 0 is
-    # always in the band, and the bins below it wrap to the top of the grid
-    bins, step, p = spec.active_bins, spec.grid_step, spec.samples_per_pulse
-    below = int(np.count_nonzero(bins < 0))
-    band = ((slice(p + bins[0], p, step), slice(0, below)),
-            (slice(0, bins[-1] + 1, step), slice(below, None)))
+    bins = spec.active_bins % p
     x_active = symbol.freq_domain[spec.active_indices]
     frames = np.empty((n_frames, p), dtype=complex)
-    # with a helper, three grids in rotation: block i is transformed while i+1
-    # and i+2 are drawn; alone, one grid, drawn just before its transform
+    # with a helper, it draws blocks i+1 and i+2 while block i is transformed;
+    # alone, each block is drawn just before its transform
     depth = 3 if _WORKERS > 1 else 1
-    grids = np.empty((depth, min(_CHUNK_FRAMES, n_frames), p), dtype=complex)
     starts = range(0, n_frames, _CHUNK_FRAMES)
     with ThreadPoolExecutor(1) if depth > 1 else _Inline() as helper:
         drawn = []
-        for i, (start, transfer) in enumerate(blocks):
-            for j in range(i + len(drawn), min(i + depth, len(starts))):
-                drawn.append(helper.submit(draw, grids[j % depth, : n_frames - starts[j]]))
-            block = drawn.pop(0).result()
-            transfer *= x_active
-            for grid_columns, band_columns in band:
-                block[:, grid_columns] += transfer[:, band_columns]
-            frames[start : start + block.shape[0]] = scipy.fft.ifft(
-                block, axis=1, norm="ortho", overwrite_x=True
-            )
+        for i, start in enumerate(starts):
+            drawn += [helper.submit(draw, s) for s in starts[i + len(drawn) : i + depth]]
+            grid = drawn.pop(0).result()
+            stop = start + grid.shape[0]
+            grid[:, bins] += transfer(start, stop) * x_active
+            frames[start:stop] = scipy.fft.ifft(grid, axis=1, norm="ortho", overwrite_x=True)
 
     return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
 
@@ -259,44 +245,35 @@ def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.nda
     pulse, and round-trip tests use it as what a perfect estimator recovers.
     It equals the sum over returns of amplitude * exp(-2j*pi*tau*f_rf).
     """
-    transfer = np.empty((n_frames, spec.active_count), dtype=complex)
-    for start, rows in _transfer_blocks(scene, spec, n_frames):
-        transfer[start : start + rows.shape[0]] = rows
-    return transfer
+    return _transfer(scene, spec, n_frames)(0, n_frames)
 
 
-def _transfer_blocks(scene: Scene, spec: WaveformSpec, n_frames: int):
-    """Check every return against the unambiguous range, then return an
-    iterator of ``(start, rows)``: the transfer of frames ``start`` onwards,
-    ``_CHUNK_FRAMES`` at a time, in one buffer that the next block overwrites.
-    """
-    max_delay = spec.pulse_duration_s
+def _transfer(scene: Scene, spec: WaveformSpec, n_frames: int):
+    """Check every trace's length and every return against the unambiguous
+    range, then return ``rows(start, stop)``: the transfer of frames ``start``
+    to ``stop``."""
+    if any(len(t.trace.samples) < n_frames for t in scene.targets):
+        raise ValueError("target trace shorter than n_frames")
+    returns = [(c.range_m, c.amplitude, np.full(n_frames, c.range_m)) for c in scene.static_clutter]
+    returns += [(t.rest_range_m, t.amplitude, t.rest_range_m + t.trace.samples[:n_frames])
+                for t in scene.targets]
     delays = []
-    for target in scene.targets:
-        tau = _round_trip_delays(scene, target, n_frames)  # (N,)
-        if tau.max() > max_delay:
+    for range_m, amplitude, path in returns:
+        tau = 2.0 * (path + scene.cable_delay_range_m) / SPEED_OF_LIGHT  # (N,)
+        if tau.max() > spec.pulse_duration_s:
             raise ValueError(
-                f"target at {target.rest_range_m} m exceeds the unambiguous "
+                f"return at {range_m} m exceeds the unambiguous "
                 f"range {max_unambiguous_range(spec):.1f} m (aliased delay)"
             )
-        delays.append((target.amplitude, tau))
-    static = np.zeros(spec.active_count, dtype=complex)
-    for clutter in scene.static_clutter:
-        tau_c = 2.0 * (clutter.range_m + scene.cable_delay_range_m) / SPEED_OF_LIGHT
-        if tau_c > max_delay:
-            raise ValueError("clutter beyond the unambiguous range")
-        static += _ramp(clutter.amplitude, np.array([tau_c]), spec)[0]
+        delays.append((amplitude, tau))
 
-    def blocks():
-        buffer = np.empty((min(_CHUNK_FRAMES, n_frames), spec.active_count), dtype=complex)
-        for start in range(0, n_frames, _CHUNK_FRAMES):
-            rows = buffer[: min(_CHUNK_FRAMES, n_frames - start)]
-            rows[:] = static
-            for amplitude, tau in delays:
-                rows += _ramp(amplitude, tau[start : start + rows.shape[0]], spec)
-            yield start, rows
+    def rows(start, stop):
+        transfer = np.zeros((stop - start, spec.active_count), dtype=complex)
+        for amplitude, tau in delays:
+            transfer += _ramp(amplitude, tau[start:stop], spec)
+        return transfer
 
-    return blocks()
+    return rows
 
 
 def _ramp(amplitude: float, tau: np.ndarray, spec: WaveformSpec) -> np.ndarray:

@@ -175,17 +175,16 @@ def cmd_sweep(args) -> int:
     ref_count = max(counts)
     ref = results[ref_count]
     for count in counts:
-        if count == ref_count:
+        if count == ref_count or not ref.targets:
             continue
-        cur = results[count]
-        n = min(len(cur.targets), len(ref.targets))
+        pairs = []  # each target with the reference target nearest to it in range
+        for t in results[count].targets:
+            nearest = min(ref.targets, key=lambda r: abs(r.detection.range_m - t.detection.range_m))
+            pairs.append((t.estimate, nearest.estimate))
         for band in ("br", "hr"):
             vals = [
-                spectral_correlation(
-                    getattr(cur.targets[i].estimate, f"{band}_spectrum"),
-                    getattr(ref.targets[i].estimate, f"{band}_spectrum"),
-                )
-                for i in range(n)
+                spectral_correlation(getattr(a, f"{band}_spectrum"), getattr(b, f"{band}_spectrum"))
+                for a, b in pairs
             ]
             if vals:
                 correlations[f"{band}_{count}_vs_{ref_count}"] = round(float(np.mean(vals)), 4)

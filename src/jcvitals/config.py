@@ -261,12 +261,16 @@ class Scenario:
         return records
 
 
+# built once: ``jsonschema.validate`` checks the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def validate_scenario(config: dict) -> Scenario:
-    try:
-        jsonschema.validate(config, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"at {path}: {exc.message}") from exc
+    # the error ``jsonschema.validate`` raises: the most relevant of them all
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"at {path}: {error.message}") from error
     return Scenario(raw=config)
 
 

@@ -61,14 +61,11 @@ def process_capture(
     """Run the full receive chain on one capture.
 
     Targets are numbered by increasing range (nearest person first), each one
-    analyzed at its single strongest range bin for the whole record.
+    analyzed at its single strongest range bin for the whole record. This is
+    ``process_with_subcarriers`` at the capture's own band.
     """
-    config = config or ProcessingConfig()
-    if symbol is None:
-        symbol = build_waveform(capture.spec)
-    if config.averaging_factor > 1:
-        capture = average_slow_time(capture, config.averaging_factor)
-    return _analyze(estimate_channel(capture, symbol, window=config.window), config)
+    count = capture.spec.active_count
+    return process_with_subcarriers(capture, [count], symbol, config)[count]
 
 
 def _analyze(series: ChannelFrameSeries, config: ProcessingConfig) -> ProcessResult:

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.signal import find_peaks
 
 from .channel import _split_blocks
 from .constants import SPEED_OF_LIGHT
@@ -134,6 +133,8 @@ def detect_targets(
     """
     if max_targets < 1:
         raise ValueError("max_targets must be >= 1")
+    from scipy.signal import find_peaks  # lazy: importing scipy.signal takes ~0.5 s
+
     power_db = profiles.mean_power_db()
     floor_db = float(np.median(power_db))
     spacing_bins = max(1, int(round(profiles.range_resolution_m / profiles.bin_width_m)))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
-from scipy.signal import get_window
 
 from .channel import _CHUNK_FRAMES, SlowFastMatrix, _split_blocks  # noqa: F401 (block size)
 from .waveform import BasebandSymbol, WaveformSpec
@@ -47,6 +46,8 @@ class ChannelFrameSeries:
         return self.transfer.shape[0]
 
     def _taps(self) -> np.ndarray | float:
+        from scipy.signal import get_window  # lazy: importing scipy.signal takes ~0.5 s
+
         return 1.0 if self.window is None else get_window(self.window, self.spec.active_count)
 
     @property
@@ -64,8 +65,8 @@ class ChannelFrameSeries:
         steering = np.exp(2j * np.pi * turns / p) / p * self._taps()
         # not ``transfer @ steering``: that is a BLAS zgemv, whose OpenBLAS
         # threads keep spinning after the call and take the core the next
-        # block loop needs; einsum's default path calls no BLAS
-        return np.einsum("na,a->n", self.transfer, steering)
+        # block loop needs; vecdot makes one single-threaded dot per row
+        return np.vecdot(np.conj(steering), self.transfer)
 
     def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
         """This estimate restricted to ``spec``'s band, a centred band nested
@@ -75,7 +76,7 @@ class ChannelFrameSeries:
             raise ValueError("narrowed band is not nested in the estimated band on its grid")
         lo = int(spec.active_indices[0] - self.spec.active_indices[0])
         hi = lo + spec.active_count
-        # a contiguous copy: the count is then computed exactly as process_capture computes it
+        # contiguous, as estimate_channel returns it for this band (a view at the full width)
         return replace(self, transfer=np.ascontiguousarray(self.transfer[:, lo:hi]), spec=spec)
 
 

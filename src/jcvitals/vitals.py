@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import detrend as _linear_detrend
-from scipy.signal import find_peaks, get_window
 
 from .csv_export import write_csv
 
@@ -182,6 +180,8 @@ class _BandPeak:
 
 
 def _band_spectrum(x: np.ndarray, fs: float, band: tuple, pad: int) -> _BandPeak:
+    from scipy.signal import get_window  # lazy: importing scipy.signal takes ~0.5 s
+
     n = x.size
     w = get_window("hann", n, fftbins=True)
     nfft = pad * n
@@ -214,6 +214,8 @@ def _normalized(freqs: np.ndarray, mags: np.ndarray) -> tuple:
 
 def _alternative_peak(bp: _BandPeak, tol_hz: float) -> tuple[float, float] | None:
     """Strongest band peak away from the top one, as (freq, magnitude)."""
+    from scipy.signal import find_peaks  # lazy: importing scipy.signal takes ~0.5 s
+
     # pad so lines sitting exactly on a band edge still count as local maxima
     padded = np.concatenate(([-np.inf], bp.mags, [-np.inf]))
     peaks, _ = find_peaks(padded)
@@ -245,7 +247,9 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
     fs = track.sample_rate_hz
     x = track.unwrapped_phase
     if config.detrend and not track.detrended:
-        x = _linear_detrend(x, type="linear")
+        from scipy.signal import detrend  # lazy: importing scipy.signal takes ~0.5 s
+
+        x = detrend(x, type="linear")
     base = PhaseTrack(sample_rate_hz=fs, unwrapped_phase=x, detrended=True)
 
     br_x = bandpass(base, *config.br_band_hz).unwrapped_phase

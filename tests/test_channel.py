@@ -94,6 +94,10 @@ class TestSimulateCapture:
         with pytest.raises(ValueError, match="shorter"):
             simulate_capture(scene, small_symbol, small_spec, n_frames=10)
 
+    def test_analytic_transfer_rejects_a_short_trace(self, small_spec):
+        with pytest.raises(ValueError, match="shorter"):
+            analytic_transfer(Scene(targets=[static_target(2.0, 4)]), small_spec, 10)
+
     def test_noise_needs_target_reference(self, small_spec, small_symbol):
         scene = Scene(targets=[], snr_db=20.0)
         with pytest.raises(ValueError, match="reference"):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jcvitals
 from jcvitals.capture_io import read_capture, write_capture
 from jcvitals.cli import main
 
@@ -39,6 +44,15 @@ def write_config(tmp_path, name="scn.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    src = str(Path(jcvitals.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, jcvitals.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -191,6 +205,24 @@ class TestSweep:
         brs = {c: report["per_count"][c]["estimates"][0]["br_bpm"]
                for c in ("10", "40", "1024")}
         assert max(brs.values()) - min(brs.values()) <= 0.25
+        assert report["spectral_correlations"]["br_10_vs_1024"] >= 0.95
+
+    def test_correlations_pair_targets_by_range(self, tmp_path, capsys):
+        # at 10 subcarriers the two people merge into one detection near the
+        # stronger, farther one; it is compared with that person, not the first
+        def person(range_m, br_bpm, loss_db):
+            return {"rest_range_m": range_m, "nlos_attenuation_db": loss_db,
+                    "vitals": {"breathing_rate_hz": br_bpm / 60, "breathing_amplitude_m": 6e-3,
+                               "breathing_harmonic_weights": []}}
+        scene = {"snr_db": 20.0, "targets": [person(1.6, 13, 6.0), person(3.4, 21, 0.0)]}
+        config = write_config(tmp_path, scene=scene)
+        code, stdout, _ = run_cli(capsys, "sweep", "--config", str(config),
+                                  "--counts", "10,1024")
+        assert code == 0
+        report = json.loads(stdout)
+        narrow, wide = (report["per_count"][c]["estimates"] for c in ("10", "1024"))
+        assert len(narrow) == 1 and len(wide) == 2
+        assert abs(narrow[0]["range_m"] - 3.4) < abs(narrow[0]["range_m"] - 1.6)
         assert report["spectral_correlations"]["br_10_vs_1024"] >= 0.95
 
     def test_single_count_degenerates_to_process(self, tmp_path, capsys):

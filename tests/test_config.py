@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -53,6 +54,26 @@ class TestValidation:
     def test_zero_duration_rejected(self):
         with pytest.raises(ConfigError, match="duration_s"):
             validate_scenario(minimal_config(duration_s=0.0))
+
+    def test_schema_is_a_valid_draft_2020_12_schema(self):
+        jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(unknown_setting=1),
+        lambda c: c.update(duration_s=0.0, seed=-1),
+        lambda c: c["scene"]["targets"][0]["vitals"].update(typo_hz=1.0, breathing_rate_hz="x"),
+        lambda c: c["scene"].pop("targets"),
+        lambda c: c["scene"]["targets"].append({"rest_range_m": -1.0, "vitals": {}}),
+    ])
+    def test_error_message_is_the_one_jsonschema_validate_raises(self, edit):
+        cfg = minimal_config()
+        edit(cfg)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, SCENARIO_SCHEMA)
+        path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            validate_scenario(cfg)
+        assert str(got.value) == f"at {path}: {expected.value.message}"
 
     def test_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
