@@ -9,23 +9,25 @@ which is exact for gapless periodic pulse transmission.
 
 The simulator works in blocks of ``_CHUNK_FRAMES`` frames, each drawn into its
 own cache-resident frequency grid of P bins. Noise is drawn into that grid as
-circular complex white noise on every bin, the active band's signal (the
-block's rows of the transfer, times the pulse spectrum) is added to it in one
-indexed add, and one unitary (ortho) inverse DFT gives the block's frames. A
-unitary transform maps white noise to white noise of the same per-sample
-variance, so the frames are white over the whole sampled band, as if the
-noise had been added in the time domain. The subcarriers are evenly spaced,
-so a return's transfer is a geometric progression along them, built with
-one cumulative product per frame.
+circular complex white noise on every bin, one PCG64 stream per
+``_NOISE_FRAMES``-frame noise block (block b seeded by child b of the seed's
+``SeedSequence``), so any worker can draw any block. The active band's signal
+(the block's rows of the transfer, times the pulse spectrum) is added to it
+in one indexed add, and one unitary (ortho) inverse DFT gives the block's
+frames. A unitary transform maps white noise to white noise of the same
+per-sample variance, so the frames are white over the whole sampled band, as
+if the noise had been added in the time domain. The subcarriers are evenly
+spaced, so a return's transfer is a geometric progression along them, built
+with one cumulative product per frame.
 
-The block loops, here and in the receive chain, run on at most ``_WORKERS``
-threads; the simulator's helper draws the noise ahead, in stream order.
+Every block loop, here and in the receive chain, is ``_split_blocks``: at
+most ``_WORKERS`` threads, each running one contiguous range of blocks.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,9 @@ from .waveform import BasebandSymbol, WaveformSpec
 # frames per block, here and in the receive chain: a block of P = 2500 complex
 # samples and its transform (2 x 640 KiB) fit in L2
 _CHUNK_FRAMES = 16
+# frames per noise stream, a model constant: the noise does not depend on the blocks
+_NOISE_FRAMES = 16
+assert _CHUNK_FRAMES % _NOISE_FRAMES == 0, "a block must start on a noise stream"
 
 
 def _worker_count() -> int:
@@ -47,15 +52,6 @@ def _worker_count() -> int:
 
 
 _WORKERS = _worker_count()
-
-
-class _Inline(Executor):
-    """The helper when there is one worker: runs each call as it is submitted."""
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
 
 
 def _split_blocks(n_frames: int, block) -> list:
@@ -175,7 +171,9 @@ def simulate_capture(
     The noise is added per block of ``_CHUNK_FRAMES`` in the frequency grid,
     on all P bins, before the block's one unitary inverse DFT, so the frames
     are still white over the whole sampled band with the same per-sample
-    variance. Deterministic for a given seed, whatever the block size.
+    variance. Each ``_NOISE_FRAMES``-frame noise block has its own stream,
+    child b of ``SeedSequence(rng_seed)``, and both workers draw. The frames
+    are the same bytes for a given seed, whatever the worker count or block size.
     """
     if symbol.spec != spec:
         raise ValueError("symbol was built for a different waveform spec")
@@ -203,38 +201,28 @@ def simulate_capture(
         target_power = spec.active_count * strongest**2 / spec.samples_per_pulse
         noise_power = target_power / 10.0 ** (scene.snr_db / 10.0)
         sigma = math.sqrt(noise_power / 2.0)
-    rng = np.random.default_rng(rng_seed)
+    streams = np.random.SeedSequence(rng_seed).spawn(-(-n_frames // _NOISE_FRAMES))
     p = spec.samples_per_pulse
-
-    def draw(start):
-        # a block-sized grid, not rows of ``frames``: the helper is the slower
-        # thread, and writing to a cache-resident grid keeps it fastest
-        grid = np.empty((min(_CHUNK_FRAMES, n_frames - start), p), dtype=complex)
-        if sigma is None:
-            grid.fill(0.0)
-        else:
-            # I and Q interleaved: block by block, the same stream as one whole draw
-            noise = grid.view(np.float64)
-            rng.standard_normal(out=noise)
-            noise *= sigma
-        return grid
-
     bins = spec.active_bins % p
     x_active = symbol.freq_domain[spec.active_indices]
     frames = np.empty((n_frames, p), dtype=complex)
-    # with a helper, it draws blocks i+1 and i+2 while block i is transformed;
-    # alone, each block is drawn just before its transform
-    depth = 3 if _WORKERS > 1 else 1
-    starts = range(0, n_frames, _CHUNK_FRAMES)
-    with ThreadPoolExecutor(1) if depth > 1 else _Inline() as helper:
-        drawn = []
-        for i, start in enumerate(starts):
-            drawn += [helper.submit(draw, s) for s in starts[i + len(drawn) : i + depth]]
-            grid = drawn.pop(0).result()
-            stop = start + grid.shape[0]
-            grid[:, bins] += transfer(start, stop) * x_active
-            frames[start:stop] = scipy.fft.ifft(grid, axis=1, norm="ortho", overwrite_x=True)
 
+    def block(start, stop):
+        # a cache-resident grid, not rows of ``frames``: faster to draw into
+        grid = np.empty((stop - start, p), dtype=complex)
+        if sigma is None:
+            grid.fill(0.0)
+        else:
+            # I and Q interleaved; a short last noise block draws a prefix of its stream
+            noise = grid.view(np.float64)
+            for row in range(0, stop - start, _NOISE_FRAMES):
+                rng = np.random.default_rng(streams[(start + row) // _NOISE_FRAMES])
+                rng.standard_normal(out=noise[row : row + _NOISE_FRAMES])
+            noise *= sigma
+        grid[:, bins] += transfer(start, stop) * x_active
+        frames[start:stop] = scipy.fft.ifft(grid, axis=1, norm="ortho", overwrite_x=True)
+
+    _split_blocks(n_frames, block)
     return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
 
 
@@ -254,22 +242,27 @@ def _transfer(scene: Scene, spec: WaveformSpec, n_frames: int):
     to ``stop``."""
     if any(len(t.trace.samples) < n_frames for t in scene.targets):
         raise ValueError("target trace shorter than n_frames")
-    returns = [(c.range_m, c.amplitude, np.full(n_frames, c.range_m)) for c in scene.static_clutter]
+    # a clutter point's path is one frame long: its row is the same in every frame
+    returns = [(c.range_m, c.amplitude, np.array([c.range_m])) for c in scene.static_clutter]
     returns += [(t.rest_range_m, t.amplitude, t.rest_range_m + t.trace.samples[:n_frames])
                 for t in scene.targets]
     delays = []
     for range_m, amplitude, path in returns:
-        tau = 2.0 * (path + scene.cable_delay_range_m) / SPEED_OF_LIGHT  # (N,)
+        tau = 2.0 * (path + scene.cable_delay_range_m) / SPEED_OF_LIGHT  # (N,) or (1,)
         if tau.max() > spec.pulse_duration_s:
             raise ValueError(
                 f"return at {range_m} m exceeds the unambiguous "
                 f"range {max_unambiguous_range(spec):.1f} m (aliased delay)"
             )
         delays.append((amplitude, tau))
+    n_static = len(scene.static_clutter)
+    static = np.zeros((1, spec.active_count), dtype=complex)
+    for amplitude, tau in delays[:n_static]:
+        static += _ramp(amplitude, tau, spec)
 
     def rows(start, stop):
-        transfer = np.zeros((stop - start, spec.active_count), dtype=complex)
-        for amplitude, tau in delays:
+        transfer = np.repeat(static, stop - start, axis=0)
+        for amplitude, tau in delays[n_static:]:
             transfer += _ramp(amplitude, tau[start:stop], spec)
         return transfer
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 
-from .channel import _CHUNK_FRAMES, SlowFastMatrix, _split_blocks  # noqa: F401 (block size)
+from .channel import SlowFastMatrix, _split_blocks
 from .waveform import BasebandSymbol, WaveformSpec
 
 log = logging.getLogger(__name__)

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from scipy.signal import get_window
 
 from jcvitals import pipeline
-from jcvitals.channel import SlowFastMatrix
+from jcvitals.channel import _CHUNK_FRAMES, SlowFastMatrix
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.ranging import to_range_profiles
-from jcvitals.receiver import _CHUNK_FRAMES, ChannelFrameSeries
+from jcvitals.receiver import ChannelFrameSeries
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
 
 from conftest import capture_of, make_target

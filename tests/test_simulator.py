@@ -3,8 +3,8 @@
 ``analytic_transfer`` builds each return's subcarrier ramp by recurrence and
 ``simulate_capture`` draws its noise in the frequency grid, block by block;
 these tests hold both to the direct formulas: the complex exponential of
-every frame and subcarrier, and one whole-array noise draw followed by one
-inverse DFT of the whole grid.
+every frame and subcarrier, and one noise draw per 16-frame noise block
+followed by one inverse DFT of the whole grid.
 """
 import math
 import tracemalloc
@@ -57,12 +57,15 @@ def noise_sigma(scene: Scene, spec: WaveformSpec) -> float:
 
 
 def capture_by_definition(scene, symbol, spec, n_frames, seed) -> np.ndarray:
-    """One (N, 2P) float64 draw viewed as complex, plus the embedded band,
-    then one ortho inverse DFT of the whole grid."""
+    """Per 16-frame noise block b, one (16, 2P) float64 draw from child b of
+    the seed viewed as complex, plus the embedded band, then one ortho inverse
+    DFT of the whole grid."""
     p = spec.samples_per_pulse
     grid = np.zeros((n_frames, p), dtype=complex)
     if scene.snr_db is not None:
-        noise = np.random.default_rng(seed).standard_normal((n_frames, 2 * p)).view(complex)
+        children = np.random.SeedSequence(seed).spawn(-(-n_frames // 16))
+        noise = np.concatenate([np.random.default_rng(child).standard_normal((16, 2 * p))
+                                for child in children])[:n_frames].view(complex)
         grid += noise_sigma(scene, spec) * noise
     grid[:, spec.active_bins % p] += (symbol.freq_domain[spec.active_indices]
                                       * transfer_by_definition(scene, spec, n_frames))

@@ -1,15 +1,15 @@
 """The frame-block loops on one and on two workers.
 
-The simulator's helper thread draws the noise ahead in stream order, and the
-receive chain splits its blocks into one contiguous range per worker. These
-tests hold the results to the same bytes whatever the worker count, and check
-that a failure on either thread reaches the caller with no thread left behind.
+The simulator and the receive chain split their blocks into one contiguous
+range per worker, and the simulator draws each 16-frame noise block from its
+own stream. These tests hold the results to the same bytes whatever the
+worker count and block size, and check that a failure on either thread
+reaches the caller with no thread left behind.
 """
 import os
 import sys
 import threading
 
-import numpy as np
 import pytest
 import scipy.fft
 
@@ -75,6 +75,18 @@ def test_same_bytes_under_frequent_thread_switches(small_spec, small_symbol, mon
             assert [a.tobytes() for a in got] == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_noise_does_not_depend_on_the_block_loop(small_spec, small_symbol, monkeypatch):
+    scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+    frames = set()
+    for chunk_frames in (16, 32, 48):
+        for workers in (1, 2):
+            monkeypatch.setattr(channel, "_CHUNK_FRAMES", chunk_frames)
+            monkeypatch.setattr(channel, "_WORKERS", workers)
+            capture = simulate_capture(scene, small_symbol, small_spec, n_frames=99, rng_seed=7)
+            frames.add(capture.frames.tobytes())
+    assert len(frames) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -155,19 +167,6 @@ def fail_on(monkeypatch, name, on_caller, call):
     monkeypatch.setattr(scipy.fft, name, failing)
 
 
-class FailingGenerator:
-    """A random generator whose 2nd fill raises."""
-
-    def __init__(self, seed, _default_rng=np.random.default_rng):
-        self.rng, self.fills = _default_rng(seed), 0
-
-    def standard_normal(self, **kwargs):
-        self.fills += 1
-        if self.fills == 2:
-            raise Boom("noise")
-        return self.rng.standard_normal(**kwargs)
-
-
 class TestFailures:
     """A failure on the caller's thread or on the helper's reaches the
     caller, and the helper is joined before the call returns."""
@@ -203,8 +202,7 @@ class TestFailures:
 
     def test_simulator_helper(self, small_spec, small_symbol, monkeypatch):
         scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
-        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
-        self.run(monkeypatch, lambda: None,
+        self.run(monkeypatch, lambda: fail_on(monkeypatch, "ifft", False, 2),
                  lambda: simulate_capture(scene, small_symbol, small_spec, n_frames=100))
 
     @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
