@@ -17,7 +17,6 @@ from . import __version__
 from .capture_io import CaptureFormatError, read_capture, write_capture
 from .channel import simulate_capture
 from .config import ConfigError, Scenario, config_digest, load_scenario, validate_scenario
-from .csv_export import write_csv
 from .pipeline import process_capture, process_with_subcarriers
 from .report import compare_records, render_table
 from .scenarios import describe_scenarios, get_scenario
@@ -66,17 +65,24 @@ def _write_manifest(path: Path, scenario: Scenario | None, command: str, extra: 
 
 
 def _simulate(scenario: Scenario):
-    spec = scenario.waveform_spec()
-    symbol = build_waveform(spec)
-    scene = scenario.build_scene()
-    capture = simulate_capture(
-        scene,
-        symbol,
-        spec,
-        n_frames=scenario.n_frames,
-        rng_seed=scenario.seed,
-        frame_rate_hz=scenario.frame_rate_hz,
-    )
+    """The scenario's capture and scene. A scenario that passes the schema but
+    that the waveform, scene or simulator rejects is still a config error."""
+    try:
+        spec = scenario.waveform_spec()
+        symbol = build_waveform(spec)
+        scene = scenario.build_scene()
+        capture = simulate_capture(
+            scene,
+            symbol,
+            spec,
+            n_frames=scenario.n_frames,
+            rng_seed=scenario.seed,
+            frame_rate_hz=scenario.frame_rate_hz,
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{scenario.scenario_id}: {exc}") from exc
     return capture, scene
 
 
@@ -105,26 +111,40 @@ def cmd_simulate(args) -> int:
 EXPORT_KINDS = ("range-profile", "phase", "displacement", "spectra")
 
 
+def _write_csv(path, header: str, row_format: str, *columns) -> None:
+    """Write ``header``, then one ``row_format.format(*row)`` line per row of
+    the equal-length ``columns``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row_format.format(*row) + "\n" for row in zip(*columns))
+
+
+def _write_profile(path, profiles) -> None:
+    """The slow-time-averaged range profile as (range_m, power_db)."""
+    _write_csv(path, "range_m,power_db", "{:.4f},{:.3f}",
+               profiles.range_axis_m, profiles.mean_power_db())
+
+
 def _export_results(result, scenario_id, export_dir: Path, spec, kinds=None):
     kinds = set(kinds or EXPORT_KINDS)
     export_dir.mkdir(parents=True, exist_ok=True)
     if "range-profile" in kinds:
-        result.profiles.to_csv(export_dir / f"{scenario_id}_range_profile.csv")
+        _write_profile(export_dir / f"{scenario_id}_range_profile.csv", result.profiles)
     wavelength = spec.effective_wavelength_m
     for tr in result.targets:
         stem = f"{scenario_id}_target{tr.target_id}"
+        t = np.arange(len(tr.track.unwrapped_phase)) / tr.track.sample_rate_hz
         if "phase" in kinds:
-            tr.track.to_csv(export_dir / f"{stem}_phase.csv")
+            _write_csv(export_dir / f"{stem}_phase.csv", "time_s,phase_rad", "{:.6f},{:.9e}",
+                       t, tr.track.unwrapped_phase)
         if "displacement" in kinds:
-            displacement = phase_to_displacement(tr.track, wavelength)
-            t = np.arange(len(displacement)) / tr.track.sample_rate_hz
-            write_csv(export_dir / f"{stem}_displacement.csv", "time_s,displacement_m",
-                      "{:.6f},{:.9e}", t, displacement)
+            _write_csv(export_dir / f"{stem}_displacement.csv", "time_s,displacement_m",
+                       "{:.6f},{:.9e}", t, phase_to_displacement(tr.track, wavelength))
         if "spectra" in kinds:
             for band in ("br", "hr"):
-                write_csv(export_dir / f"{stem}_{band}_spectrum.csv",
-                          "frequency_hz,normalized_magnitude", "{:.6f},{:.6e}",
-                          *getattr(tr.estimate, f"{band}_spectrum"))
+                _write_csv(export_dir / f"{stem}_{band}_spectrum.csv",
+                           "frequency_hz,normalized_magnitude", "{:.6f},{:.6e}",
+                           *getattr(tr.estimate, f"{band}_spectrum"))
 
 
 def cmd_process(args) -> int:
@@ -154,12 +174,11 @@ def cmd_process(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args)
     counts = [int(c) for c in args.counts.split(",")] if args.counts else scenario.subcarrier_counts
-    spec = scenario.waveform_spec()
+    capture, _ = _simulate(scenario)
+    spec = capture.spec
     for count in counts:
         if not 1 <= count <= spec.num_subcarriers:
             raise ConfigError(f"subcarrier count {count} outside [1, {spec.num_subcarriers}]")
-
-    capture, _ = _simulate(scenario)
     results = process_with_subcarriers(capture, counts, config=scenario.processing_config())
 
     per_count = {}
@@ -201,12 +220,13 @@ def cmd_sweep(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{scenario.scenario_id}_sweep.json").write_text(json.dumps(report, indent=2) + "\n")
         for count, result in results.items():
-            result.profiles.to_csv(out / f"{scenario.scenario_id}_profile_{count}sc.csv")
+            _write_profile(out / f"{scenario.scenario_id}_profile_{count}sc.csv", result.profiles)
         _write_manifest(out / f"{scenario.scenario_id}_sweep.manifest.json", scenario, "sweep")
     return EXIT_OK
 
 
 def _read_records(path) -> list:
+    """One JSON object per non-blank line, each with a scenario_id and a target_id."""
     records = []
     try:
         with open(path) as fh:
@@ -216,16 +236,17 @@ def _read_records(path) -> list:
                     records.append(json.loads(line))
     except (OSError, json.JSONDecodeError) as exc:
         raise CaptureFormatError(f"{path}: {exc}") from exc
+    for number, record in enumerate(records, start=1):
+        if not isinstance(record, dict) or not {"scenario_id", "target_id"} <= record.keys():
+            raise CaptureFormatError(
+                f"{path}: record {number} is not a JSON object with scenario_id and target_id")
     return records
 
 
 def cmd_report(args) -> int:
     estimates = _read_records(args.estimates)
     truths = _read_records(args.truth)
-    try:
-        rows = compare_records(estimates, truths, args.br_tolerance, args.hr_tolerance)
-    except ValueError as exc:
-        raise CaptureFormatError(str(exc)) from exc
+    rows = compare_records(estimates, truths, args.br_tolerance, args.hr_tolerance)
     table = render_table(rows)
     print(table)
     if args.output:

@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-
-from .csv_export import write_csv
 
 NORMAL = "normal"
 BREATH_HOLD = "breath_hold"
@@ -95,15 +92,6 @@ class DisplacementTrace:
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
 
-    def to_csv(self, path) -> None:
-        """Export as (time_s, displacement_m, label) rows."""
-        labels = np.array([NORMAL] * len(self.samples), dtype=object)
-        for seg in self.segments:
-            labels[seg.start : min(seg.end, len(self.samples))] = seg.label
-        t = np.arange(len(self.samples)) / self.sample_rate_hz
-        write_csv(path, "time_s,displacement_m,label", "{:.6f},{:.9e},{}",
-                  t, self.samples, labels)
-
 
 def _breathing_waveform(params: VitalParams, t: np.ndarray) -> np.ndarray:
     if params.breathing_amplitude_m == 0:
@@ -135,6 +123,8 @@ def _breath_gate(hold_mask: np.ndarray, ramp_samples: int) -> np.ndarray:
     """1 where breathing is active, exactly 0 inside holds, with a smooth
     ramp on the active side of each boundary (a chest does not step).
     ``hold_mask`` must mark at least one sample."""
+    from scipy.ndimage import distance_transform_edt  # lazy: only breath-hold schedules call it
+
     distance = distance_transform_edt(~hold_mask)  # samples to the nearest hold
     gate = np.clip(distance / max(ramp_samples, 1), 0.0, 1.0)
     return 0.5 * (1.0 - np.cos(np.pi * gate))

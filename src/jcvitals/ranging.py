@@ -8,7 +8,6 @@ import scipy.fft
 
 from .channel import _split_blocks
 from .constants import SPEED_OF_LIGHT
-from .csv_export import write_csv
 from .receiver import ChannelFrameSeries
 
 _POWER_FLOOR = 1e-300  # keeps log10 finite on exact zeros
@@ -39,11 +38,6 @@ class RangeProfileSeries:
 
     def mean_power_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
-
-    def to_csv(self, path) -> None:
-        """Export the slow-time-averaged profile as (range_m, power_db)."""
-        write_csv(path, "range_m,power_db", "{:.4f},{:.3f}",
-                  self.range_axis_m, self.mean_power_db())
 
 
 @dataclass

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csv_export import write_csv
-
 # a heart-band peak is checked against these breathing harmonics, and flagged
 # when a second heart-band peak reaches this fraction of the band maximum
 _HARMONIC_ORDERS = (2, 3, 4, 5)
@@ -32,10 +30,6 @@ class PhaseTrack:
     @property
     def duration_s(self) -> float:
         return len(self.unwrapped_phase) / self.sample_rate_hz
-
-    def to_csv(self, path) -> None:
-        t = np.arange(len(self.unwrapped_phase)) / self.sample_rate_hz
-        write_csv(path, "time_s,phase_rad", "{:.6f},{:.9e}", t, self.unwrapped_phase)
 
 
 @dataclass

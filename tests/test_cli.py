@@ -4,11 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jcvitals
 from jcvitals.capture_io import read_capture, write_capture
 from jcvitals.cli import main
+from jcvitals.config import load_scenario
+from jcvitals.pipeline import process_capture, process_with_subcarriers
+from jcvitals.vitals import phase_to_displacement
 
 
 def run_cli(capsys, *argv):
@@ -46,10 +50,27 @@ def write_config(tmp_path, name="scn.json", **overrides):
     return path
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
+def check_csv(path, header, precisions, *columns):
+    """``path`` holds ``header`` and one row per element of ``columns``, each
+    value equal to its column's at the written precision: ``n`` decimals
+    (fixed) or ``"ne"`` (n mantissa decimals)."""
+    rows = Path(path).read_text().splitlines()
+    assert rows[0] == header
+    assert len(rows) == len(columns[0]) + 1
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    for written, column, precision in zip(parsed.T, columns, precisions):
+        if isinstance(precision, int):
+            np.testing.assert_allclose(written, column, rtol=0, atol=0.51 * 10.0**-precision)
+        else:
+            np.testing.assert_allclose(written, column, rtol=0.51 * 10.0**-int(precision[:-1]),
+                                       atol=0)
+
+
+@pytest.mark.parametrize("prefix", ["scipy.signal", "scipy.ndimage"])
+def test_importing_the_cli_leaves_scipy_signal_unloaded(prefix):
     src = str(Path(jcvitals.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, jcvitals.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    probe = f"import sys, jcvitals.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -103,6 +124,24 @@ class TestSimulate:
         with pytest.raises(KeyError, match="bug"):
             main(["simulate", "--scenario", "sitting_still_2m",
                   "--output", str(tmp_path / "x.jcv")])
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_the_simulator_rejects_is_config_error(self, tmp_path, capsys, command):
+        # each passes the schema; the waveform, the scene or the channel refuses it
+        far = {"snr_db": 20.0, "targets": [{"rest_range_m": 200.0}]}  # beyond 149.9 m
+        configs = {
+            "spacing": write_config(tmp_path, "spacing.json",
+                                    waveform={"subcarrier_spacing_hz": 1.5e6}),
+            "rate": write_config(tmp_path, "rate.json", frame_rate_hz=5.0),
+            "range": write_config(tmp_path, "range.json", scene=far),
+        }
+        for name, config in configs.items():
+            out = tmp_path / f"{name}.jcv"
+            args = ["--output", str(out)] if command == "simulate" else ["--counts", "10,1024"]
+            code, _, stderr = run_cli(capsys, command, "--config", str(config), *args)
+            assert code == 1, name
+            assert "config error: cli_test: " in stderr, name
+            assert not out.exists(), name
 
     def test_builtin_scenario_seed_override(self, tmp_path, capsys):
         out = tmp_path / "s.jcv"
@@ -159,6 +198,30 @@ class TestProcess:
         assert "cli_test_target0_phase.csv" in names
         assert "cli_test_target0_br_spectrum.csv" in names
         assert "cli_test_process.manifest.json" in names
+
+    def test_export_layouts_hold_the_pipeline_arrays(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        cap = tmp_path / "cap.jcv"
+        run_cli(capsys, "simulate", "--config", str(config), "--output", str(cap))
+        export = tmp_path / "exports"
+        code, _, _ = run_cli(capsys, "process", "--capture", str(cap),
+                             "--config", str(config), "--export-dir", str(export))
+        assert code == 0
+        capture, _ = read_capture(cap)
+        result = process_capture(capture, config=load_scenario(config).processing_config())
+        assert result.targets
+        check_csv(export / "cli_test_range_profile.csv", "range_m,power_db", (4, 3),
+                  result.profiles.range_axis_m, result.profiles.mean_power_db())
+        for tr in result.targets:
+            stem = export / f"cli_test_target{tr.target_id}"
+            t = np.arange(len(tr.track.unwrapped_phase)) / tr.track.sample_rate_hz
+            check_csv(f"{stem}_phase.csv", "time_s,phase_rad", (6, "9e"),
+                      t, tr.track.unwrapped_phase)
+            check_csv(f"{stem}_displacement.csv", "time_s,displacement_m", (6, "9e"),
+                      t, phase_to_displacement(tr.track, capture.spec.effective_wavelength_m))
+            for band in ("br", "hr"):
+                check_csv(f"{stem}_{band}_spectrum.csv", "frequency_hz,normalized_magnitude",
+                          (6, "6e"), *getattr(tr.estimate, f"{band}_spectrum"))
 
     def test_process_manifest_records_the_capture_averaging_factor(self, tmp_path, capsys):
         """The JCV1 averaging factor is recorded, not applied: the config's decides."""
@@ -234,6 +297,21 @@ class TestSweep:
         assert list(report["per_count"]) == ["1024"]
         assert report["spectral_correlations"] == {}
 
+    def test_profile_layout_holds_the_pipeline_arrays(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        cap, out = tmp_path / "cap.jcv", tmp_path / "sweep"
+        run_cli(capsys, "simulate", "--config", str(config), "--output", str(cap))
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(config), "--counts", "10,40,1024",
+                             "--output-dir", str(out))
+        assert code == 0
+        capture, _ = read_capture(cap)  # the capture the sweep simulated
+        processing = load_scenario(config).processing_config()
+        results = process_with_subcarriers(capture, [10, 40], config=processing)
+        results[1024] = process_capture(capture, config=processing)
+        for count, result in results.items():
+            check_csv(out / f"cli_test_profile_{count}sc.csv", "range_m,power_db", (4, 3),
+                      result.profiles.range_axis_m, result.profiles.mean_power_db())
+
     def test_count_out_of_range_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code, _, stderr = run_cli(capsys, "sweep", "--config", str(config),
@@ -265,6 +343,18 @@ class TestReport:
                                   "--truth", str(truth))
         assert code == 0
         assert "missed" in stdout
+
+    def test_malformed_record_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps(
+            {"scenario_id": "a", "target_id": 0, "br_bpm": 16.0, "hr_bpm": 73.0}) + "\n")
+        for name, line in (("no_target_id", '{"scenario_id": "a"}'), ("array", "[1, 2]")):
+            est = tmp_path / f"{name}.jsonl"
+            est.write_text(line + "\n")
+            code, _, stderr = run_cli(capsys, "report", "--estimates", str(est),
+                                      "--truth", str(truth))
+            assert code == 2, name
+            assert "data error" in stderr, name
 
     def test_id_mismatch_is_data_error(self, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"

@@ -179,12 +179,3 @@ class TestTraceInvariants:
     def test_segments_default_to_normal(self):
         trace = synthesize_displacement(VitalParams(), 20.0, 50.0)
         assert [s.label for s in trace.segments] == [NORMAL]
-
-    def test_csv_export_roundtrip(self, tmp_path):
-        trace = synthesize_displacement(VitalParams(), 16.0, 50.0)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "time_s,displacement_m,label"
-        assert len(rows) == len(trace.samples) + 1
-        assert rows[1].endswith(NORMAL)
