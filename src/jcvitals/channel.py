@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .constants import SPEED_OF_LIGHT
 from .physio import DisplacementTrace
@@ -220,7 +219,7 @@ def simulate_capture(
                 rng.standard_normal(out=noise[row : row + _NOISE_FRAMES])
             noise *= sigma
         grid[:, bins] += transfer(start, stop) * x_active
-        frames[start:stop] = scipy.fft.ifft(grid, axis=1, norm="ortho", overwrite_x=True)
+        np.fft.ifft(grid, axis=1, norm="ortho", out=frames[start:stop])
 
     _split_blocks(n_frames, block)
     return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .capture_io import CaptureFormatError, read_capture, write_capture
@@ -53,7 +52,6 @@ def _write_manifest(path: Path, scenario: Scenario | None, command: str, extra: 
         "command": command,
         "jcvitals_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
     }
     if scenario is not None:
         manifest["scenario_id"] = scenario.scenario_id

@@ -135,7 +135,7 @@ SCENARIO_SCHEMA = {
                 "harmonic_tolerance_hz": {"type": "number", "minimum": 0.0},
                 "min_duration_s": {"type": "number", "minimum": 0.0},
                 "detrend": {"type": "boolean"},
-                "window": {"type": ["string", "null"]},
+                "window": {"enum": [None, "hann"]},
                 "remove_static_clutter": {"type": "boolean"},
                 "max_targets": {"type": "integer", "minimum": 1},
                 "min_prominence_db": {"type": "number"},
@@ -234,10 +234,15 @@ class Scenario:
 
     def processing_config(self) -> ProcessingConfig:
         a = self.raw.get("analysis", {})
+        vitals = VitalsConfig(**_given(VitalsConfig, a))
+        nyquist = self.frame_rate_hz / self.averaging_factor / 2.0  # of the averaged frames
+        for key in ("br_band_hz", "hr_band_hz"):
+            if not 0 < getattr(vitals, key)[0] < getattr(vitals, key)[1] < nyquist:
+                raise ConfigError(f"at analysis/{key}: need 0 < low < high < {nyquist:g} Hz")
         return ProcessingConfig(
             cable_offset_m=self.raw["scene"].get("cable_delay_range_m", 0.0),
             averaging_factor=self.averaging_factor,
-            vitals=VitalsConfig(**_given(VitalsConfig, a)),
+            vitals=vitals,
             **_given(ProcessingConfig, a),
         )
 

@@ -123,9 +123,10 @@ def _breath_gate(hold_mask: np.ndarray, ramp_samples: int) -> np.ndarray:
     """1 where breathing is active, exactly 0 inside holds, with a smooth
     ramp on the active side of each boundary (a chest does not step).
     ``hold_mask`` must mark at least one sample."""
-    from scipy.ndimage import distance_transform_edt  # lazy: only breath-hold schedules call it
-
-    distance = distance_transform_edt(~hold_mask)  # samples to the nearest hold
+    i = np.arange(hold_mask.size)
+    holds = np.concatenate(([-i.size], np.flatnonzero(hold_mask), [2 * i.size]))  # + end sentinels
+    after = np.searchsorted(holds, i)  # the first hold at or after each sample
+    distance = np.minimum(holds[after] - i, i - holds[after - 1])  # samples to the nearest hold
     gate = np.clip(distance / max(ramp_samples, 1), 0.0, 1.0)
     return 0.5 * (1.0 - np.cos(np.pi * gate))
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .channel import _split_blocks
 from .constants import SPEED_OF_LIGHT
@@ -60,8 +59,8 @@ def to_range_profiles(
     tapered transfer (mean-removed when ``remove_static``), Wiener-Khinchin
     gives mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
     R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each frame block
-    goes into columns 0..A-1 of a zero-filled m-point grid, m =
-    next_fast_len(2A-1), and is inverse-transformed. Its |.|^2, summed in
+    goes into columns 0..A-1 of a zero-filled m-point grid, m the smallest
+    11-smooth length >= 2A-1, and is inverse-transformed. Its |.|^2, summed in
     frame order, is the m-point DFT of R with the lags taken mod m: exact,
     since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is added
     into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one P-point
@@ -75,21 +74,21 @@ def to_range_profiles(
         raise ValueError("cable_offset_m must be >= 0")
     spec = series.spec
     p, count = spec.samples_per_pulse, spec.active_count
-    m = scipy.fft.next_fast_len(2 * count - 1)
+    m = _fast_length(2 * count - 1)
     taps = series._taps()
     static = series.transfer.mean(axis=0) if remove_static else 0.0  # = the mean of h, by linearity
 
     def block(start, stop):
         z = np.zeros((stop - start, m), dtype=complex)
         z[:, :count] = (series.transfer[start:stop] - static) * taps
-        return _block_power(scipy.fft.ifft(z, axis=1, overwrite_x=True))
+        return _block_power(np.fft.ifft(z, axis=1, out=z))
 
     # block sums added in frame order, as one serial pass adds them
     spectrum = sum(_split_blocks(series.n_frames, block))
     d = np.arange(1 - count, count)
     grid = np.zeros(p, dtype=complex)
-    np.add.at(grid, spec.grid_step * d % p, m * scipy.fft.fft(spectrum)[d])
-    power = np.maximum(scipy.fft.ifft(grid).real / (series.n_frames * p), 0.0)
+    np.add.at(grid, spec.grid_step * d % p, m * np.fft.fft(spectrum)[d])
+    power = np.maximum(np.fft.ifft(grid).real / (series.n_frames * p), 0.0)
     bin_width = SPEED_OF_LIGHT / (2.0 * spec.sample_rate_hz)
     axis = np.arange(p) * bin_width - cable_offset_m
     resolution = SPEED_OF_LIGHT / (2.0 * spec.occupied_bandwidth_hz)
@@ -101,6 +100,15 @@ def to_range_profiles(
         series=series,
         remove_static=remove_static,
     )
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 11-smooth integer >= n: a length pocketfft transforms fast."""
+    rest = n
+    for factor in (2, 3, 5, 7, 11):
+        while rest % factor == 0:
+            rest //= factor
+    return n if rest == 1 else _fast_length(n + 1)
 
 
 def _block_power(h: np.ndarray) -> np.ndarray:
@@ -127,20 +135,19 @@ def detect_targets(
     """
     if max_targets < 1:
         raise ValueError("max_targets must be >= 1")
-    from scipy.signal import find_peaks  # lazy: importing scipy.signal takes ~0.5 s
-
     power_db = profiles.mean_power_db()
     floor_db = float(np.median(power_db))
     spacing_bins = max(1, int(round(profiles.range_resolution_m / profiles.bin_width_m)))
-    peaks, _ = find_peaks(power_db, height=floor_db + min_prominence_db, distance=spacing_bins)
-    if peaks.size == 0:
-        return []
-
-    order = np.argsort(power_db[peaks])[::-1]
-    peaks = peaks[order]
-    strongest = power_db[peaks[0]]
-    peaks = [b for b in peaks if power_db[b] >= strongest - max_below_peak_db]
-
+    inner = power_db[1:-1]  # a peak is a bin above both neighbours
+    peaks = 1 + np.flatnonzero((inner > power_db[:-2]) & (inner > power_db[2:])
+                               & (inner >= floor_db + min_prominence_db))
+    kept, blocked = [], np.zeros(power_db.size, dtype=bool)
+    for b in peaks[np.argsort(power_db[peaks])[::-1]]:  # strongest first
+        if len(kept) == max_targets or kept and power_db[b] < power_db[kept[0]] - max_below_peak_db:
+            break  # enough, or this peak and all after it too far below the strongest
+        if not blocked[b]:
+            kept.append(b)
+            blocked[max(b - spacing_bins + 1, 0) : b + spacing_bins] = True
     return [
         TargetDetection(
             bin_index=int(b),
@@ -148,7 +155,7 @@ def detect_targets(
             mean_power_db=float(power_db[b]),
             prominence_db=float(power_db[b] - floor_db),
         )
-        for b in peaks[:max_targets]
+        for b in kept
     ]
 
 

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 from .channel import SlowFastMatrix, _split_blocks
-from .waveform import BasebandSymbol, WaveformSpec
+from .waveform import BasebandSymbol, WaveformSpec, hann
 
 log = logging.getLogger(__name__)
 
@@ -46,9 +45,7 @@ class ChannelFrameSeries:
         return self.transfer.shape[0]
 
     def _taps(self) -> np.ndarray | float:
-        from scipy.signal import get_window  # lazy: importing scipy.signal takes ~0.5 s
-
-        return 1.0 if self.window is None else get_window(self.window, self.spec.active_count)
+        return 1.0 if self.window is None else hann(self.spec.active_count)
 
     @property
     def impulse(self) -> np.ndarray:
@@ -56,7 +53,7 @@ class ChannelFrameSeries:
         p = self.spec.samples_per_pulse
         grid = np.zeros((self.n_frames, p), dtype=complex)
         grid[:, self.spec.active_bins % p] = self.transfer * self._taps()
-        return scipy.fft.ifft(grid, axis=1, overwrite_x=True)
+        return np.fft.ifft(grid, axis=1, out=grid)
 
     def bin_series(self, bin_index: int) -> np.ndarray:
         """``impulse[:, bin_index]`` as one length-A dot product per frame."""
@@ -91,9 +88,11 @@ def estimate_channel(
     subcarrier-reduction studies reprocess a full-band capture with a narrowed
     band); it must cover all active bins of the capture with usable magnitude.
 
-    Optional ``window`` (e.g. "hann") tapers the frequency axis before the
+    Optional ``window`` ("hann" or None) tapers the frequency axis before the
     inverse transform, trading main-lobe width for lower range sidelobes.
     """
+    if window not in (None, "hann"):
+        raise ValueError(f"window must be None or 'hann', not {window!r}")
     spec = capture.spec
     ref = symbol.spec
     if (
@@ -118,7 +117,7 @@ def estimate_channel(
     transfer = np.empty((capture.n_frames, spec.active_count), dtype=complex)
 
     def block(start, stop):
-        spectra = scipy.fft.fft(capture.frames[start:stop], axis=1, norm="ortho")
+        spectra = np.fft.fft(capture.frames[start:stop], axis=1, norm="ortho")
         np.divide(spectra[:, bins], x_active, out=transfer[start:stop])
 
     _split_blocks(capture.n_frames, block)

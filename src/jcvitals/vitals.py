@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .waveform import hann
+
 # a heart-band peak is checked against these breathing harmonics, and flagged
 # when a second heart-band peak reaches this fraction of the band maximum
 _HARMONIC_ORDERS = (2, 3, 4, 5)
@@ -174,10 +176,8 @@ class _BandPeak:
 
 
 def _band_spectrum(x: np.ndarray, fs: float, band: tuple, pad: int) -> _BandPeak:
-    from scipy.signal import get_window  # lazy: importing scipy.signal takes ~0.5 s
-
     n = x.size
-    w = get_window("hann", n, fftbins=True)
+    w = hann(n)
     nfft = pad * n
     mags = np.abs(np.fft.rfft(x * w, nfft)) * 2.0 / w.sum()
     freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
@@ -208,19 +208,20 @@ def _normalized(freqs: np.ndarray, mags: np.ndarray) -> tuple:
 
 def _alternative_peak(bp: _BandPeak, tol_hz: float) -> tuple[float, float] | None:
     """Strongest band peak away from the top one, as (freq, magnitude)."""
-    from scipy.signal import find_peaks  # lazy: importing scipy.signal takes ~0.5 s
-
     # pad so lines sitting exactly on a band edge still count as local maxima
     padded = np.concatenate(([-np.inf], bp.mags, [-np.inf]))
-    peaks, _ = find_peaks(padded)
-    peaks = peaks - 1
-    if peaks.size == 0:
-        return None
+    peaks = np.flatnonzero((bp.mags > padded[:-2]) & (bp.mags > padded[2:]))
     away = peaks[np.abs(bp.freqs[peaks] - bp.peak_hz) > tol_hz]
     if away.size == 0:
         return None
     best = away[np.argmax(bp.mags[away])]
     return float(bp.freqs[best]), float(bp.mags[best])
+
+
+def _detrended(x: np.ndarray) -> np.ndarray:
+    """``x`` minus its least-squares line, fitted on centred sample times."""
+    t = np.arange(x.size) - (x.size - 1) / 2.0
+    return x - x.mean() - t * ((t * x).sum() / ((t * t).sum() or 1.0))
 
 
 def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> VitalsEstimate:
@@ -241,9 +242,7 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
     fs = track.sample_rate_hz
     x = track.unwrapped_phase
     if config.detrend and not track.detrended:
-        from scipy.signal import detrend  # lazy: importing scipy.signal takes ~0.5 s
-
-        x = detrend(x, type="linear")
+        x = _detrended(x)
     base = PhaseTrack(sample_rate_hz=fs, unwrapped_phase=x, detrended=True)
 
     br_x = bandpass(base, *config.br_band_hz).unwrapped_phase

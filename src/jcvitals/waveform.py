@@ -150,6 +150,13 @@ def papr_db(symbol: BasebandSymbol) -> float:
     return 10.0 * math.log10(power.max() / mean)
 
 
+def hann(n: int) -> np.ndarray:
+    """Periodic Hann window of ``n`` taps, ``[1.0]`` for one: the only window."""
+    if n <= 1:
+        return np.ones(n)
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
 def select_subcarriers(spec: WaveformSpec, count: int) -> WaveformSpec:
     """Return ``spec`` with its active band narrowed or widened to ``count``
     centred subcarriers (``ValueError`` outside [1, num_subcarriers]).

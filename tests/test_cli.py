@@ -12,6 +12,7 @@ from jcvitals.capture_io import read_capture, write_capture
 from jcvitals.cli import main
 from jcvitals.config import load_scenario
 from jcvitals.pipeline import process_capture, process_with_subcarriers
+from jcvitals.scenarios import get_scenario
 from jcvitals.vitals import phase_to_displacement
 
 
@@ -66,14 +67,57 @@ def check_csv(path, header, precisions, *columns):
                                        atol=0)
 
 
-@pytest.mark.parametrize("prefix", ["scipy.signal", "scipy.ndimage"])
-def test_importing_the_cli_leaves_scipy_signal_unloaded(prefix):
+def test_importing_the_cli_leaves_scipy_unloaded():
     src = str(Path(jcvitals.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = f"import sys, jcvitals.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    probe = ("import sys, jcvitals.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# runs CLI commands in a fresh interpreter in which any scipy import raises ImportError
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from jcvitals.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_simulate_process_and_report_run_without_scipy(tmp_path):
+    # with a Hann-tapered range profile: breath holds, detrending and the
+    # target picker, and with harmonic_confusion the alternative-peak picker too
+    commands = []
+    for scenario_id in ("intermittent_breathing", "harmonic_confusion"):
+        scenario = get_scenario(scenario_id)
+        raw = {**scenario.raw, "analysis": {**scenario.raw.get("analysis", {}), "window": "hann"}}
+        config, truth, cap, est, table = (
+            tmp_path / f"{scenario_id}{suffix}"
+            for suffix in (".json", "_truth.jsonl", ".jcv", "_est.jsonl", "_table.txt"))
+        config.write_text(json.dumps(raw))
+        truth.write_text("".join(json.dumps(r) + "\n" for r in scenario.ground_truth()))
+        commands += [
+            ["simulate", "--config", str(config), "--output", str(cap)],
+            ["process", "--capture", str(cap), "--config", str(config),
+             "--estimates-out", str(est), "--export-dir", str(tmp_path / "export")],
+            ["report", "--estimates", str(est), "--truth", str(truth), "--output", str(table)],
+        ]
+    env = dict(os.environ, PYTHONPATH=str(Path(jcvitals.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    held, harmonic = ([json.loads(line) for line in
+                       (tmp_path / f"{s}_est.jsonl").read_text().splitlines()]
+                      for s in ("intermittent_breathing", "harmonic_confusion"))
+    assert [r["range_m"] for r in held] == [pytest.approx(1.5, abs=0.05)]
+    assert [r["harmonic_flag"] for r in harmonic] == [True]
+    assert (tmp_path / "export" / "harmonic_confusion_target0_hr_spectrum.csv").exists()
+    assert "1 rows" in (tmp_path / "intermittent_breathing_table.txt").read_text()
 
 
 class TestSimulate:
@@ -174,6 +218,22 @@ class TestProcess:
         assert len(records) == 1
         assert records[0]["br_bpm"] == pytest.approx(16.0, abs=1.0)
         assert records[0]["hr_bpm"] == pytest.approx(73.0, abs=2.0)
+
+    @pytest.mark.parametrize("analysis", [
+        {"window": "hamming"},
+        {"br_band_hz": [0.5, 0.15]},  # reversed
+        {"br_band_hz": [0.0, 0.5]},  # a non-positive edge
+        {"hr_band_hz": [0.8, 25.0]},  # at the 50 Hz frame rate's Nyquist
+    ], ids=["window", "reversed", "zero-edge", "nyquist"])
+    def test_analysis_the_chain_rejects_is_config_error(self, tmp_path, capsys, analysis):
+        cap = tmp_path / "cap.jcv"
+        run_cli(capsys, "simulate", "--config", str(write_config(tmp_path)), "--output", str(cap))
+        config = write_config(tmp_path, "bad.json", analysis={"min_duration_s": 15.0, **analysis})
+        code, stdout, stderr = run_cli(capsys, "process", "--capture", str(cap),
+                                       "--config", str(config))
+        assert code == 1
+        assert f"config error: at analysis/{next(iter(analysis))}" in stderr
+        assert stdout == ""
 
     def test_truncated_capture_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -311,6 +371,20 @@ class TestSweep:
         for count, result in results.items():
             check_csv(out / f"cli_test_profile_{count}sc.csv", "range_m,power_db", (4, 3),
                       result.profiles.range_axis_m, result.profiles.mean_power_db())
+
+    @pytest.mark.parametrize("averaging_factor, band", [
+        (1, [0.5, 0.15]),  # reversed
+        (2, [0.8, 13.0]),  # above the Nyquist of the averaged 25 Hz frames
+    ])
+    def test_band_the_chain_rejects_is_config_error(self, tmp_path, capsys, averaging_factor,
+                                                    band):
+        config = write_config(tmp_path, averaging_factor=averaging_factor,
+                              analysis={"min_duration_s": 15.0, "hr_band_hz": band})
+        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config),
+                                       "--counts", "10,1024")
+        assert code == 1
+        assert "config error: at analysis/hr_band_hz" in stderr
+        assert stdout == ""
 
     def test_count_out_of_range_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -10,8 +10,8 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
-import scipy.fft
 
 from jcvitals import channel
 from jcvitals.channel import _CHUNK_FRAMES, Scene, simulate_capture
@@ -33,13 +33,13 @@ def fft_threads(monkeypatch) -> set:
     """Patch the forward and inverse FFTs to record the threads that call them."""
     threads = set()
     for name in ("fft", "ifft"):
-        original = getattr(scipy.fft, name)
+        original = getattr(np.fft, name)
 
         def recording(*args, _original=original, **kwargs):
             threads.add(threading.current_thread())
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, recording)
+        monkeypatch.setattr(np.fft, name, recording)
     return threads
 
 
@@ -151,9 +151,9 @@ class Boom(RuntimeError):
 
 
 def fail_on(monkeypatch, name, on_caller, call):
-    """Patch ``scipy.fft.<name>`` to raise on the ``call``-th call made on
+    """Patch ``numpy.fft.<name>`` to raise on the ``call``-th call made on
     the caller's thread (``on_caller``) or on any other thread."""
-    original = getattr(scipy.fft, name)
+    original = getattr(np.fft, name)
     calls = []
     caller = threading.current_thread()
 
@@ -164,7 +164,7 @@ def fail_on(monkeypatch, name, on_caller, call):
                 raise Boom(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, name, failing)
+    monkeypatch.setattr(np.fft, name, failing)
 
 
 class TestFailures:
