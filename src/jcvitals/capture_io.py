@@ -47,6 +47,9 @@ class CaptureMeta:
 
 
 def write_capture(path, capture: SlowFastMatrix, averaging_factor: int = 1, seed: int = 0) -> None:
+    """Write ``capture`` as JCV1, ``_CHUNK_FRAMES`` frames at a time. complex64 frames (all
+    that ``simulate_capture`` and ``read_capture`` return) are written as they are; others,
+    such as complex128 frames built by hand, are rounded to complex64 one block at a time."""
     spec = capture.spec
     idx = spec.active_indices
     header = struct.pack(

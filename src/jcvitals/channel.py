@@ -13,10 +13,14 @@ circular complex white noise on every bin, one PCG64 stream per
 ``_NOISE_FRAMES``-frame noise block (block b seeded by child b of the seed's
 ``SeedSequence``), so any worker can draw any block. The active band's signal
 (the block's rows of the transfer, times the pulse spectrum) is added to it
-in one indexed add, and one unitary (ortho) inverse DFT gives the block's
-frames. A unitary transform maps white noise to white noise of the same
-per-sample variance, so the frames are white over the whole sampled band, as
-if the noise had been added in the time domain. The subcarriers are evenly
+in two strided slices, the bins below 0 (wrapped to the top of the grid) and
+the rest, and one unitary (ortho) inverse DFT gives the block's frames. A
+unitary transform maps white noise to white noise of the same per-sample
+variance, so the frames are white over the whole sampled band, as if the
+noise had been added in the time domain. The grid and its transform are
+complex128; each block is rounded once into complex64 frames, the precision
+JCV1 stores, so the capture in memory is the bytes of its file and half the
+size of complex128 frames. The subcarriers are evenly
 spaced, so a return's transfer is a geometric progression along them, built
 with one cumulative product per frame.
 
@@ -120,7 +124,8 @@ class Scene:
 @dataclass(eq=False)
 class SlowFastMatrix:
     """N x P complex received samples: rows = pulses (slow time), columns =
-    samples within a pulse (fast time)."""
+    samples within a pulse (fast time). Simulated and read captures hold
+    complex64, JCV1's precision."""
 
     frames: np.ndarray
     frame_rate_hz: float
@@ -172,7 +177,9 @@ def simulate_capture(
     are still white over the whole sampled band with the same per-sample
     variance. Each ``_NOISE_FRAMES``-frame noise block has its own stream,
     child b of ``SeedSequence(rng_seed)``, and both workers draw. The frames
-    are the same bytes for a given seed, whatever the worker count or block size.
+    are complex64: each block is transformed in complex128 and rounded once,
+    so they are the bytes ``write_capture`` stores. They are the same bytes
+    for a given seed, whatever the worker count or block size.
     """
     if symbol.spec != spec:
         raise ValueError("symbol was built for a different waveform spec")
@@ -202,9 +209,13 @@ def simulate_capture(
         sigma = math.sqrt(noise_power / 2.0)
     streams = np.random.SeedSequence(rng_seed).spawn(-(-n_frames // _NOISE_FRAMES))
     p = spec.samples_per_pulse
-    bins = spec.active_bins % p
+    bins = spec.active_bins  # evenly spaced, and bin 0 is always among them
+    split = int(np.searchsorted(bins, 0))
+    # two strided slices, faster than one indexed add: the bins below 0 wrap to p + b
+    below = slice(p + bins[0], p, spec.grid_step)
+    above = slice(bins[split], bins[-1] + 1, spec.grid_step)
     x_active = symbol.freq_domain[spec.active_indices]
-    frames = np.empty((n_frames, p), dtype=complex)
+    frames = np.empty((n_frames, p), dtype=np.complex64)
 
     def block(start, stop):
         # a cache-resident grid, not rows of ``frames``: faster to draw into
@@ -218,8 +229,11 @@ def simulate_capture(
                 rng = np.random.default_rng(streams[(start + row) // _NOISE_FRAMES])
                 rng.standard_normal(out=noise[row : row + _NOISE_FRAMES])
             noise *= sigma
-        grid[:, bins] += transfer(start, stop) * x_active
-        np.fft.ifft(grid, axis=1, norm="ortho", out=frames[start:stop])
+        band = transfer(start, stop) * x_active
+        grid[:, below] += band[:, :split]
+        grid[:, above] += band[:, split:]
+        # rounded once from complex128: a complex64 transform would change the JCV1 bytes
+        frames[start:stop] = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
 
     _split_blocks(n_frames, block)
     return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jcvitals.capture_io import read_capture, write_capture
 from jcvitals.channel import (
     _CHUNK_FRAMES,
     ClutterPoint,
@@ -131,29 +132,52 @@ class TestTransferRecurrence:
         assert np.abs(got - expected).max() <= 1e-10 * scale
 
 
+REFERENCE_SPECS = pytest.mark.parametrize("spec", [
+    WaveformSpec(num_subcarriers=64, samples_per_pulse=160),
+    WaveformSpec(num_subcarriers=64, samples_per_pulse=160, active_count=33),
+    WaveformSpec(num_subcarriers=40, samples_per_pulse=130, subcarrier_spacing_hz=3e6,
+                 active_count=1),
+    WaveformSpec(num_subcarriers=40, samples_per_pulse=130, subcarrier_spacing_hz=3e6,
+                 active_count=24),
+], ids=["full", "odd-band", "one-bin-step-3", "even-band-step-3"])
+
+
+def reference_scene(snr_db) -> Scene:
+    targets = [make_target(rest_range_m=1.6, duration_s=2.0, rng_seed=1),
+               make_target(rest_range_m=3.44, reflectivity=0.4, duration_s=2.0, rng_seed=2)]
+    return Scene(targets=targets, static_clutter=[ClutterPoint(1.0, 0.3)],
+                 cable_delay_range_m=0.5, snr_db=snr_db)
+
+
 class TestSimulatorMatchesWholeArrayReference:
     @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES,
                                           3 * _CHUNK_FRAMES, 2 * _CHUNK_FRAMES + 5])
     @pytest.mark.parametrize("snr_db", [None, 10.0])
-    @pytest.mark.parametrize("spec", [
-        WaveformSpec(num_subcarriers=64, samples_per_pulse=160),
-        WaveformSpec(num_subcarriers=64, samples_per_pulse=160, active_count=33),
-        WaveformSpec(num_subcarriers=40, samples_per_pulse=130, subcarrier_spacing_hz=3e6,
-                     active_count=1),
-        WaveformSpec(num_subcarriers=40, samples_per_pulse=130, subcarrier_spacing_hz=3e6,
-                     active_count=24),
-    ], ids=["full", "odd-band", "one-bin-step-3", "even-band-step-3"])
+    @REFERENCE_SPECS
     def test_frames_equal_the_definition(self, spec, snr_db, n_frames):
         symbol = build_waveform(spec)
-        targets = [make_target(rest_range_m=1.6, duration_s=2.0, rng_seed=1),
-                   make_target(rest_range_m=3.44, reflectivity=0.4, duration_s=2.0, rng_seed=2)]
-        scene = Scene(targets=targets, static_clutter=[ClutterPoint(1.0, 0.3)],
-                      cable_delay_range_m=0.5, snr_db=snr_db)
+        scene = reference_scene(snr_db)
         capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
         expected = capture_by_definition(scene, symbol, spec, n_frames, seed=7)
-        assert capture.frames.dtype == np.complex128
-        np.testing.assert_allclose(capture.frames, expected, rtol=1e-12,
+        assert capture.frames.dtype == np.complex64
+        # the complex128 frames, rounded once: I and Q each within float32's unit roundoff
+        # 2**-24 of themselves, so each sample within sqrt(2) of that, on top of the float64
+        # path's 1e-12 of the peak. A transform run in complex64 errs by roundoffs of the
+        # peak, not of the sample, and fails this.
+        np.testing.assert_allclose(capture.frames, expected,
+                                   rtol=math.sqrt(2) * 2.0**-24 + 1e-12,
                                    atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, 2 * _CHUNK_FRAMES + 5])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    @REFERENCE_SPECS
+    def test_frames_are_the_file_bytes(self, spec, snr_db, n_frames, tmp_path):
+        capture = simulate_capture(reference_scene(snr_db), build_waveform(spec), spec,
+                                   n_frames=n_frames, rng_seed=7)
+        write_capture(tmp_path / "c.jcv", capture)
+        stored, _ = read_capture(tmp_path / "c.jcv")
+        assert capture.frames.dtype == np.complex64
+        assert capture.frames.tobytes() == stored.frames.tobytes()
 
 
 class TestNoiseStatistics:
