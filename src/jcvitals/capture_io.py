@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _CHUNK_FRAMES, SlowFastMatrix
+from .channel import SlowFastMatrix
 from .waveform import WaveformSpec
 
 MAGIC = b"JCV1"
@@ -41,15 +41,15 @@ class CaptureFormatError(ValueError):
 
 @dataclass
 class CaptureMeta:
-    format_version: int
     averaging_factor: int
     seed: int
 
 
 def write_capture(path, capture: SlowFastMatrix, averaging_factor: int = 1, seed: int = 0) -> None:
-    """Write ``capture`` as JCV1, ``_CHUNK_FRAMES`` frames at a time. complex64 frames (all
-    that ``simulate_capture`` and ``read_capture`` return) are written as they are; others,
-    such as complex128 frames built by hand, are rounded to complex64 one block at a time."""
+    """Write ``capture`` as JCV1, the payload in one write. C-contiguous complex64 frames
+    (all that ``simulate_capture``, ``read_capture`` and ``average_slow_time`` return) are
+    written as they are, with no copy; others, such as complex128 frames built by hand,
+    are first rounded to a complex64 copy."""
     spec = capture.spec
     idx = spec.active_indices
     header = struct.pack(
@@ -70,9 +70,7 @@ def write_capture(path, capture: SlowFastMatrix, averaging_factor: int = 1, seed
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for start in range(0, capture.n_frames, _CHUNK_FRAMES):
-            block = capture.frames[start : start + _CHUNK_FRAMES]
-            fh.write(np.ascontiguousarray(block, dtype=np.complex64))
+        fh.write(np.ascontiguousarray(capture.frames, np.complex64))
 
 
 def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
@@ -138,6 +136,4 @@ def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
             f"active start {active_start} is not the centred start "
             f"{spec.active_indices[0]} for {active_count} of {num_subcarriers} subcarriers"
         )
-    return capture, CaptureMeta(
-        format_version=version, averaging_factor=averaging_factor, seed=seed
-    )
+    return capture, CaptureMeta(averaging_factor=averaging_factor, seed=seed)

@@ -169,9 +169,18 @@ def cmd_process(args) -> int:
     return EXIT_OK
 
 
+def _counts(text: str) -> list:
+    """``--counts``: a malformed list is a usage error, raised by argparse."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args)
-    counts = [int(c) for c in args.counts.split(",")] if args.counts else scenario.subcarrier_counts
+    counts = args.counts or scenario.subcarrier_counts
     capture, _ = _simulate(scenario)
     spec = capture.spec
     for count in counts:
@@ -275,7 +284,6 @@ def build_parser() -> _Parser:
     p.add_argument("--capture", required=True)
     p.add_argument("--scenario", help="built-in scenario id for analysis settings")
     p.add_argument("--config", help="scenario config JSON for analysis settings")
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--estimates-out", help="write estimate records (JSON lines) here")
     p.add_argument("--export-dir", help="export analysis products here as CSV")
     p.add_argument("--export", action="append", choices=EXPORT_KINDS,
@@ -286,7 +294,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", help="built-in scenario id")
     p.add_argument("--config", help="scenario config JSON path")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--counts", help="comma-separated subcarrier counts (default from config)")
+    p.add_argument("--counts", type=_counts,
+                   help="comma-separated subcarrier counts (default from config)")
     p.add_argument("--output-dir", help="write the sweep report and profiles here")
     p.set_defaults(func=cmd_sweep)
 

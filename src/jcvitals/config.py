@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import jsonschema
@@ -134,7 +135,6 @@ SCENARIO_SCHEMA = {
                 "confidence_threshold": {"type": "number", "minimum": 0.0, "maximum": 1.0},
                 "harmonic_tolerance_hz": {"type": "number", "minimum": 0.0},
                 "min_duration_s": {"type": "number", "minimum": 0.0},
-                "detrend": {"type": "boolean"},
                 "window": {"enum": [None, "hann"]},
                 "remove_static_clutter": {"type": "boolean"},
                 "max_targets": {"type": "integer", "minimum": 1},
@@ -196,11 +196,10 @@ class Scenario:
             segments.append(Segment(start=start, end=min(end, n), label=item["label"]))
         return segments
 
-    def build_scene(self, seed: int | None = None) -> Scene:
+    def build_scene(self) -> Scene:
         """Instantiate the scene; target traces get per-target child seeds."""
-        seed = self.seed if seed is None else seed
         cfg = self.raw["scene"]
-        children = np.random.SeedSequence(seed).spawn(max(1, len(cfg["targets"])) + 1)
+        children = np.random.SeedSequence(self.seed).spawn(max(1, len(cfg["targets"])) + 1)
         targets = []
         for i, tc in enumerate(cfg["targets"]):
             params = VitalParams(**tc.get("vitals", {}))
@@ -280,9 +279,15 @@ def validate_scenario(config: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    def finite(text: str) -> float:  # Python's parser also takes NaN, Infinity and 1e999
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: {text} is not a finite number")
+        return value
+
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:

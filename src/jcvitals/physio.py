@@ -88,10 +88,6 @@ class DisplacementTrace:
         if stationary and self.samples.size and np.abs(self.samples).max() > _MAX_SEATED_DISPLACEMENT_M:
             raise ValueError("stationary trace exceeds 0.2 m displacement")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 def _breathing_waveform(params: VitalParams, t: np.ndarray) -> np.ndarray:
     if params.breathing_amplitude_m == 0:

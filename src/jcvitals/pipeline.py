@@ -110,8 +110,7 @@ def process_with_subcarriers(
     specs = {count: select_subcarriers(capture.spec, count) for count in counts}
     if not specs:
         return {}
-    if config.averaging_factor > 1:
-        capture = average_slow_time(capture, config.averaging_factor)
+    capture = average_slow_time(capture, config.averaging_factor)
     widest = max(specs.values(), key=lambda spec: spec.active_count)
     series = estimate_channel(capture._relabelled(spec=widest), symbol, window=config.window)
     return {count: _analyze(series.narrowed(spec), config) for count, spec in specs.items()}

@@ -26,7 +26,6 @@ _ALTERNATIVE_PEAK_RATIO = 0.5
 class PhaseTrack:
     sample_rate_hz: float
     unwrapped_phase: np.ndarray
-    detrended: bool = False
     zero_sample_count: int = 0
 
     @property
@@ -46,7 +45,6 @@ class VitalsConfig:
     confidence_threshold: float = 0.1
     harmonic_tolerance_hz: float = 0.05
     min_duration_s: float = 15.0
-    detrend: bool = True
 
 
 @dataclass(eq=False)
@@ -148,7 +146,6 @@ def bandpass(track: PhaseTrack, low_hz: float, high_hz: float) -> PhaseTrack:
     return PhaseTrack(
         sample_rate_hz=fs,
         unwrapped_phase=y,
-        detrended=True,
         zero_sample_count=track.zero_sample_count,
     )
 
@@ -227,7 +224,8 @@ def _detrended(x: np.ndarray) -> np.ndarray:
 def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> VitalsEstimate:
     """Breathing and heart rate from a phase track.
 
-    Each band is zero-phase filtered, Hann-windowed, zero-padded and searched
+    The track's least-squares line is removed first. Each band is then
+    zero-phase filtered, Hann-windowed, zero-padded and searched
     for its strongest interpolated peak. The harmonic flag fires when the HR
     peak sits within tolerance of an integer multiple (2..5) of the BR peak
     and a competing HR-band peak of at least half its magnitude exists (that
@@ -240,10 +238,8 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
             f"{config.min_duration_s:.0f} s minimum"
         )
     fs = track.sample_rate_hz
-    x = track.unwrapped_phase
-    if config.detrend and not track.detrended:
-        x = _detrended(x)
-    base = PhaseTrack(sample_rate_hz=fs, unwrapped_phase=x, detrended=True)
+    x = _detrended(track.unwrapped_phase)
+    base = PhaseTrack(sample_rate_hz=fs, unwrapped_phase=x)
 
     br_x = bandpass(base, *config.br_band_hz).unwrapped_phase
     hr_x = bandpass(base, *config.hr_band_hz).unwrapped_phase

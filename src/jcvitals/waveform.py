@@ -99,10 +99,6 @@ class WaveformSpec:
         return self.carrier_frequency_hz + float(np.mean(self.baseband_frequencies_hz()))
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency_hz
-
-    @property
     def effective_wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.effective_carrier_hz
 

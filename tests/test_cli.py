@@ -149,6 +149,22 @@ class TestSimulate:
         assert code == 1
         assert "duration_s" in stderr
 
+    @pytest.mark.parametrize("overrides", [
+        {"scene": {"snr_db": float("nan"), "targets": [{"rest_range_m": 2.0}]}},
+        {"scene": {"snr_db": -float("inf"), "targets": [{"rest_range_m": 2.0}]}},
+        {"duration_s": float("inf")},
+    ], ids=["snr_nan", "snr_minus_infinity", "duration_infinity"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, overrides):
+        # json.dumps writes NaN and Infinity, which JSON itself does not allow
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "x.jcv"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", str(config),
+                                       "--output", str(out))
+        assert code == 1
+        assert f"config error: {config}: " in stderr and "is not a finite number" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
     def test_missing_scenario_and_config_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "simulate", "--output", str(tmp_path / "x.jcv"))
         assert code == 1
@@ -384,6 +400,14 @@ class TestSweep:
                                        "--counts", "10,1024")
         assert code == 1
         assert "config error: at analysis/hr_band_hz" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("counts", ["10,abc", "10,,40", "1.5"])
+    def test_malformed_counts_is_usage_error(self, capsys, counts):
+        code, stdout, stderr = run_cli(capsys, "sweep", "--scenario", "sitting_still_2m",
+                                       "--counts", counts)
+        assert code == 1
+        assert "usage error: argument --counts: not a comma-separated list of integers" in stderr
         assert stdout == ""
 
     def test_count_out_of_range_is_config_error(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import jsonschema
@@ -81,6 +82,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="line 3"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("scene", "snr_db", "NaN"),
+        ("scene", "snr_db", "-Infinity"),
+        (None, "duration_s", "Infinity"),
+        (None, "duration_s", "1e999"),  # overflows to infinity
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, section, key, text):
+        cfg = minimal_config()
+        (cfg[section] if section else cfg)[key] = "@"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(cfg).replace('"@"', text))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {text} is not a finite number")):
+            load_scenario(path)
+
+    def test_detrend_is_not_a_setting(self):
+        # the linear trend is always removed; the key is unknown like any other
+        with pytest.raises(ConfigError, match="at analysis: .*'detrend'"):
+            validate_scenario(minimal_config(analysis={"detrend": False}))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "nope.json")
@@ -102,8 +122,8 @@ class TestSceneConstruction:
     def test_seed_changes_sway_noise(self):
         cfg = minimal_config()
         cfg["scene"]["targets"][0]["vitals"]["sway_rms_m"] = 1e-3
-        a = validate_scenario(cfg).build_scene(seed=1)
-        b = validate_scenario(cfg).build_scene(seed=2)
+        a = validate_scenario({**cfg, "seed": 1}).build_scene()
+        b = validate_scenario({**cfg, "seed": 2}).build_scene()
         assert not np.array_equal(a.targets[0].trace.samples, b.targets[0].trace.samples)
 
     def test_schedule_converted_to_segments(self):
@@ -171,7 +191,6 @@ class TestDefaultsFromDataclasses:
             "confidence_threshold": 0.05,
             "harmonic_tolerance_hz": 0.04,
             "min_duration_s": 10.0,
-            "detrend": False,
             "window": "hann",
             "remove_static_clutter": True,
             "max_targets": 2,

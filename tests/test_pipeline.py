@@ -56,6 +56,17 @@ class TestProcessCapture:
         assert result.series.frame_rate_hz == pytest.approx(25.0)
         assert result.targets[0].estimate.br_bpm == pytest.approx(16.0, abs=1.0)
 
+    @pytest.mark.parametrize("factor", [0, -3])
+    def test_averaging_factor_below_one_is_rejected(self, small_spec, small_symbol, factor):
+        # long enough to process, so only the factor can fail it
+        capture = capture_of([make_target(duration_s=16.0)], small_spec, small_symbol,
+                             duration_s=16.0)
+        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
+            process_capture(capture, config=ProcessingConfig(averaging_factor=factor))
+        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
+            process_with_subcarriers(capture, [10, 64],
+                                     config=ProcessingConfig(averaging_factor=factor))
+
 
 class TestSubcarrierSweep:
     def test_rates_invariant_across_counts(self, default_spec, default_symbol):

@@ -22,7 +22,7 @@ FS = 50.0
 
 def tone_track(freq_hz, amp=1.0, duration_s=40.0, fs=FS, phase0=0.0):
     t = np.arange(int(duration_s * fs)) / fs
-    return PhaseTrack(fs, amp * np.sin(2 * np.pi * freq_hz * t + phase0), detrended=True)
+    return PhaseTrack(fs, amp * np.sin(2 * np.pi * freq_hz * t + phase0))
 
 
 def tone_gain_db(freq_hz, band):
