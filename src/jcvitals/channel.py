@@ -146,12 +146,18 @@ class SlowFastMatrix:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
+    @classmethod
+    def _checked(cls, **fields) -> SlowFastMatrix:
+        """One made of ``fields`` that already keep its checks true, without
+        ``__post_init__``'s scan of every sample."""
+        out = object.__new__(cls)
+        vars(out).update(fields)
+        return out
+
     def _relabelled(self, **changes) -> SlowFastMatrix:
         """A copy with ``changes`` that keep its checks true (a nested band,
-        averaged frames), made without ``__post_init__``'s scan of every sample."""
-        out = object.__new__(type(self))
-        vars(out).update(vars(self), **changes)
-        return out
+        averaged frames)."""
+        return self._checked(**vars(self) | changes)
 
 
 def max_unambiguous_range(spec: WaveformSpec) -> float:
@@ -196,6 +202,8 @@ def simulate_capture(
         frame_rate_hz = trace_rate
     elif frame_rate_hz is None:
         raise ValueError("frame_rate_hz is required for a scene with no targets")
+    if not frame_rate_hz > 0:
+        raise ValueError("frame_rate_hz must be positive")
 
     transfer = _transfer(scene, spec, n_frames)  # checks trace lengths and aliased returns
     sigma = None
@@ -233,10 +241,14 @@ def simulate_capture(
         grid[:, below] += band[:, :split]
         grid[:, above] += band[:, split:]
         # rounded once from complex128: a complex64 transform would change the JCV1 bytes
-        frames[start:stop] = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
+        with np.errstate(over="ignore"):  # a sample beyond complex64's range is reported below
+            frames[start:stop] = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
+        # checked here, while the rows are in cache, not in a second pass over the capture
+        if not np.isfinite(frames[start:stop]).all():
+            raise ValueError("capture contains non-finite samples")
 
     _split_blocks(n_frames, block)
-    return SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
+    return SlowFastMatrix._checked(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
 
 
 def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.ndarray:

@@ -269,7 +269,19 @@ class Scenario:
 _VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 
 
+def _non_finite(value, path: str = ""):
+    """(key path, number) for each NaN or infinite float in a JSON-like ``value``;
+    the schema's "number" admits them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path or "<root>", value
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, f"{path}/{key}" if path else str(key))
+
+
 def validate_scenario(config: dict) -> Scenario:
+    for path, number in _non_finite(config):
+        raise ConfigError(f"at {path}: {number} is not a finite number")
     # the error ``jsonschema.validate`` raises: the most relevant of them all
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:

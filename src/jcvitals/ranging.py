@@ -76,7 +76,8 @@ def to_range_profiles(
     p, count = spec.samples_per_pulse, spec.active_count
     m = _fast_length(2 * count - 1)
     taps = series._taps()
-    static = series.transfer.mean(axis=0) if remove_static else 0.0  # = the mean of h, by linearity
+    # = the mean of h, by linearity; summed in complex128 whatever the transfer's precision
+    static = series.transfer.mean(axis=0, dtype=complex) if remove_static else 0.0
 
     def block(start, stop):
         z = np.zeros((stop - start, m), dtype=complex)

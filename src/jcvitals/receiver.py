@@ -3,9 +3,12 @@ derived from it, and coherent slow-time averaging of the raw frames.
 
 A capture goes through one fast-time FFT, in blocks of ``_CHUNK_FRAMES``
 frames and in the capture's own precision (JCV1 stores complex64). Only the
-N x A transfer matrix is kept, as complex128. The receive chain never builds
-the N x P impulse response: it reads one range bin at a time (``bin_series``),
-and ``ranging.to_range_profiles`` reads range power from the band's lags.
+N x A transfer matrix is kept, also at the capture's precision: each block is
+divided by the reference in complex128 and rounded once into it. Its readers
+upcast one block at a time and accumulate in complex128. The receive chain
+never builds the N x P impulse response: it reads one range bin at a time
+(``bin_series``), and ``ranging.to_range_profiles`` reads range power from
+the band's lags.
 """
 from __future__ import annotations
 
@@ -27,7 +30,9 @@ _MIN_REFERENCE_MAGNITUDE = 1e-12
 class ChannelFrameSeries:
     """Estimated channel per pulse.
 
-    ``transfer``: N x A complex, one column per active subcarrier.
+    ``transfer``: N x A complex, one column per active subcarrier, at the
+    capture's precision (complex64 for simulated and read captures); cast it
+    with ``astype(complex)`` where complex128 is needed.
     The impulse response h (N x P) is the inverse DFT of each transfer row,
     tapered by ``window`` and embedded at the active-band grid positions
     (zero-filled elsewhere). It is computed from ``transfer`` when read:
@@ -60,10 +65,19 @@ class ChannelFrameSeries:
         p = self.spec.samples_per_pulse
         turns = (self.spec.active_bins % p) * bin_index % p  # exact integer phase
         steering = np.exp(2j * np.pi * turns / p) / p * self._taps()
+        weights = np.conj(steering)  # vecdot conjugates its first argument back
+        series = np.empty(self.n_frames, dtype=complex)
+
         # not ``transfer @ steering``: that is a BLAS zgemv, whose OpenBLAS
         # threads keep spinning after the call and take the core the next
-        # block loop needs; vecdot makes one single-threaded dot per row
-        return np.vecdot(np.conj(steering), self.transfer)
+        # block loop needs; vecdot makes one single-threaded dot per row. The
+        # block is upcast here, so no N x A complex128 copy of the transfer is made.
+        def block(start, stop):
+            np.vecdot(weights, self.transfer[start:stop].astype(complex, copy=False),
+                      out=series[start:stop])
+
+        _split_blocks(self.n_frames, block)
+        return series
 
     def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
         """This estimate restricted to ``spec``'s band, a centred band nested
@@ -114,10 +128,12 @@ def estimate_channel(
         )
 
     bins = spec.active_bins % spec.samples_per_pulse
-    transfer = np.empty((capture.n_frames, spec.active_count), dtype=complex)
+    precision = np.result_type(capture.frames.dtype, np.complex64)
+    transfer = np.empty((capture.n_frames, spec.active_count), dtype=precision)
 
     def block(start, stop):
         spectra = np.fft.fft(capture.frames[start:stop], axis=1, norm="ortho")
+        # x_active is complex128, so the quotient is too, rounded once into the transfer
         np.divide(spectra[:, bins], x_active, out=transfer[start:stop])
 
     _split_blocks(capture.n_frames, block)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -95,6 +96,20 @@ class TestValidation:
         path.write_text(json.dumps(cfg).replace('"@"', text))
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {text} is not a finite number")):
             load_scenario(path)
+
+    @pytest.mark.parametrize("edit, path, text", [
+        (lambda cfg: cfg["scene"].update(snr_db=math.nan), "scene/snr_db", "nan"),
+        (lambda cfg: cfg["scene"]["targets"][0]["vitals"].update(
+            breathing_harmonic_weights=[0.2, -math.inf]),
+         "scene/targets/0/vitals/breathing_harmonic_weights/1", "-inf"),
+        (lambda cfg: cfg.update(duration_s=math.inf), "duration_s", "inf"),
+    ], ids=["snr_nan", "nested_minus_inf", "duration_inf"])
+    def test_non_finite_float_in_a_dict_is_config_error(self, edit, path, text):
+        # a Python dict, unlike a JSON file, can hold NaN and infinities directly
+        cfg = minimal_config()
+        edit(cfg)
+        with pytest.raises(ConfigError, match=re.escape(f"at {path}: {text} is not a finite number")):
+            validate_scenario(cfg)
 
     def test_detrend_is_not_a_setting(self):
         # the linear trend is always removed; the key is unknown like any other

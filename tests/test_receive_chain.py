@@ -137,6 +137,57 @@ class TestStreamedDefinitions:
             series.narrowed(select_subcarriers(other_grid, 4))
 
 
+def complex64_series(spec: WaveformSpec, n_frames: int, window=None) -> ChannelFrameSeries:
+    """A complex64 transfer with a static part 100 times its moving part."""
+    rng = np.random.default_rng(3)
+    shape = (n_frames, spec.active_count)
+    static = 100.0 * np.exp(2j * np.pi * rng.random(shape[1]))
+    transfer = static + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return ChannelFrameSeries(transfer=transfer.astype(np.complex64), frame_rate_hz=50.0,
+                              spec=spec, window=window)
+
+
+class TestComplex64Transfer:
+    """A complex64 transfer, as simulated and read captures give, is read in
+    complex128 one block at a time: the same values as its complex128 copy,
+    without holding that copy."""
+
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_bin_series_equals_the_complex128_series(self, default_spec, window):
+        series = complex64_series(default_spec, 2 * _CHUNK_FRAMES + 3, window)
+        wide = replace(series, transfer=series.transfer.astype(complex))
+        for b in (0, 1, 27, 1250, default_spec.samples_per_pulse - 1):
+            got = series.bin_series(b)
+            assert got.dtype == complex
+            np.testing.assert_allclose(got, wide.bin_series(b), rtol=1e-12, atol=0)
+
+    def test_bin_series_holds_no_complex128_copy(self, default_spec):
+        series = complex64_series(default_spec, 2000)
+        assert series.transfer.nbytes == 2000 * 1024 * 8
+        series.bin_series(50)  # first call: lazy imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            series.bin_series(51)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * series.transfer.nbytes
+
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_static_removal_matches_the_complex128_path(self, default_spec, window):
+        series = complex64_series(default_spec, 2000, window)
+        wide = replace(series, transfer=series.transfer.astype(complex))
+        expected = to_range_profiles(wide, remove_static=True).mean_power
+        got = to_range_profiles(series, remove_static=True).mean_power
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * expected.max())
+
+    def test_narrowing_keeps_the_precision(self, default_spec):
+        series = complex64_series(default_spec, 3)
+        narrow = series.narrowed(select_subcarriers(default_spec, 40))
+        assert narrow.transfer.dtype == np.complex64
+        assert narrow.transfer.tobytes() == series.transfer[:, 492:532].tobytes()
+
+
 def same_result(a: pipeline.ProcessResult, b: pipeline.ProcessResult) -> bool:
     """Bit-identical detections, phase tracks, records and spectra."""
     if len(a.targets) != len(b.targets) or a.detections != b.detections:

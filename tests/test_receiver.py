@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,26 @@ class TestEstimateChannel:
         assert np.abs(series.impulse[0, 0]) == pytest.approx(
             small_spec.active_count / small_spec.samples_per_pulse, rel=1e-9
         )
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_transfer_has_the_capture_precision(self, small_symbol, dtype):
+        capture = identity_capture(small_symbol)
+        capture = replace(capture, frames=capture.frames.astype(dtype))
+        series = estimate_channel(capture, small_symbol)
+        assert series.transfer.dtype == dtype
+        assert np.allclose(series.transfer, 1.0, atol=1e-6 if dtype == np.complex64 else 1e-12)
+
+    def test_simulated_capture_gives_a_complex64_transfer(self, small_spec, small_symbol):
+        capture = capture_of([make_target(duration_s=1.0)], small_spec, small_symbol,
+                             snr_db=20.0, duration_s=1.0)
+        series = estimate_channel(capture, small_symbol)
+        assert capture.frames.dtype == series.transfer.dtype == np.complex64
+        # the same frames in complex128 give the same transfer to complex64's precision
+        wide = estimate_channel(replace(capture, frames=capture.frames.astype(complex)),
+                                small_symbol).transfer
+        assert wide.dtype == complex
+        scale = np.abs(wide).max()
+        np.testing.assert_allclose(series.transfer, wide, rtol=0, atol=1e-6 * scale)
 
     def test_static_target_peak_bin(self, default_spec, default_symbol):
         capture = capture_of([static_target(2.0, 4)], default_spec, default_symbol,

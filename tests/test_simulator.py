@@ -14,12 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jcvitals import channel
 from jcvitals.capture_io import read_capture, write_capture
 from jcvitals.channel import (
     _CHUNK_FRAMES,
     ClutterPoint,
     Scene,
     SceneTarget,
+    SlowFastMatrix,
     analytic_transfer,
     max_unambiguous_range,
     simulate_capture,
@@ -231,3 +233,34 @@ def test_simulate_peak_memory_within_1_6_captures():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * capture.frames.nbytes
+
+
+class TestFiniteFrames:
+    """The simulator checks each block's frames as it writes them, not the
+    whole capture again on return."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_of_complex64_is_rejected(self, small_spec, small_symbol, monkeypatch,
+                                               workers):
+        monkeypatch.setattr(channel, "_WORKERS", workers)
+        # noise 800 dB over the return: finite in complex128, beyond complex64's range
+        scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=-800.0)
+        with pytest.raises(ValueError, match="capture contains non-finite samples"):
+            simulate_capture(scene, small_symbol, small_spec, n_frames=4 * _CHUNK_FRAMES + 1)
+
+    def test_capture_not_scanned_again(self, small_spec, small_symbol, monkeypatch):
+        def validate(capture):
+            raise AssertionError("the simulated capture was scanned again")
+
+        scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+        expected = simulate_capture(scene, small_symbol, small_spec, n_frames=99, rng_seed=7)
+        monkeypatch.setattr(SlowFastMatrix, "__post_init__", validate)
+        capture = simulate_capture(scene, small_symbol, small_spec, n_frames=99, rng_seed=7)
+        assert type(capture) is SlowFastMatrix
+        assert capture.frames.tobytes() == expected.frames.tobytes()
+        assert (capture.frame_rate_hz, capture.spec) == (expected.frame_rate_hz, small_spec)
+
+    @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan])
+    def test_frame_rate_checked_before_simulating(self, small_spec, small_symbol, rate):
+        with pytest.raises(ValueError, match="frame_rate_hz must be positive"):
+            simulate_capture(Scene(), small_symbol, small_spec, n_frames=4, frame_rate_hz=rate)

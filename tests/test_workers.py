@@ -26,7 +26,8 @@ def run_chain(spec, symbol, n_frames, window=None, remove_static=False):
     capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
     series = estimate_channel(capture, symbol, window=window)
     profiles = to_range_profiles(series, remove_static=remove_static)
-    return capture.frames, series.transfer, profiles.mean_power
+    at_peak = series.bin_series(int(profiles.mean_power.argmax()))
+    return capture.frames, series.transfer, profiles.mean_power, at_peak
 
 
 def fft_threads(monkeypatch) -> set:
@@ -62,7 +63,8 @@ def test_worker_count_does_not_change_the_bytes(small_spec, small_symbol, monkey
 
 def test_same_bytes_under_frequent_thread_switches(small_spec, small_symbol, monkeypatch):
     """The grids handed between the caller and the helper, and the transfer
-    rows both workers write, stay intact when the threads interleave often."""
+    rows and bin series both workers write, stay intact when the threads
+    interleave often."""
     n_frames = 6 * _CHUNK_FRAMES + 3
     monkeypatch.setattr(channel, "_WORKERS", 1)
     expected = [a.tobytes() for a in run_chain(small_spec, small_symbol, n_frames, "hann", True)]
