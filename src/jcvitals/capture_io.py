@@ -12,10 +12,12 @@ The averaging factor is metadata: ``jcvitals simulate`` writes 1, and
 ``process`` records the field in its manifest but does not apply it; the
 config's ``averaging_factor`` decides.
 
-``read_capture`` checks the file size against the header before it allocates,
-then reads the payload once, with ``readinto``, into one complex64 array. The
-payload is copied, not mapped: an ``np.memmap`` capture dies with SIGBUS once
-its file is truncated and rewritten in place, as ``write_capture`` does.
+``read_capture`` checks the file size and the rest of the header before it
+allocates, then reads the payload once, with ``readinto``, into one complex64
+array, ``_CHUNK_FRAMES`` rows at a time, each block checked for finite samples
+while it is in cache. The payload is copied, not mapped: an ``np.memmap``
+capture dies with SIGBUS once its file is truncated and rewritten in place, as
+``write_capture`` does.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SlowFastMatrix
+from .channel import _CHUNK_FRAMES, SlowFastMatrix, _check_finite
 from .waveform import WaveformSpec
 
 MAGIC = b"JCV1"
@@ -104,36 +106,49 @@ def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
                 f"unsupported format version {version}, expected {FORMAT_VERSION}"
             )
         expected = frame_count * samples_per_pulse * _BYTES_PER_SAMPLE
+
+        def truncated(size):
+            return CaptureFormatError(f"truncated payload at byte offset {_HEADER_SIZE + size}: "
+                                      f"expected {_HEADER_SIZE + expected} bytes total")
+
         size = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
         if size > expected:
             raise CaptureFormatError(
                 f"{size - expected} trailing bytes after the payload: "
                 f"expected {_HEADER_SIZE + expected} bytes total"
             )
-        if size == expected:
-            frames = np.empty((frame_count, samples_per_pulse), np.complex64)
-            size = fh.readinto(frames)  # short if the file shrank since fstat
-    if size != expected:
-        raise CaptureFormatError(
-            f"truncated payload at byte offset {_HEADER_SIZE + size}: "
-            f"expected {_HEADER_SIZE + expected} bytes total"
-        )
+        if size < expected:
+            raise truncated(size)
+        try:
+            spec = WaveformSpec(
+                carrier_frequency_hz=carrier_hz,
+                num_subcarriers=num_subcarriers,
+                subcarrier_spacing_hz=spacing_hz,
+                samples_per_pulse=samples_per_pulse,
+                pulse_duration_s=samples_per_pulse / sample_rate_hz,
+                active_count=active_count,
+            )
+            if frame_count < 1:
+                raise ValueError("need at least one frame")
+            if not frame_rate_hz > 0:
+                raise ValueError("frame_rate_hz must be positive")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CaptureFormatError(f"invalid capture: {exc}") from exc
+        if active_start != spec.active_indices[0]:
+            raise CaptureFormatError(
+                f"active start {active_start} is not the centred start "
+                f"{spec.active_indices[0]} for {active_count} of {num_subcarriers} subcarriers"
+            )
 
-    try:
-        spec = WaveformSpec(
-            carrier_frequency_hz=carrier_hz,
-            num_subcarriers=num_subcarriers,
-            subcarrier_spacing_hz=spacing_hz,
-            samples_per_pulse=samples_per_pulse,
-            pulse_duration_s=samples_per_pulse / sample_rate_hz,
-            active_count=active_count,
-        )
-        capture = SlowFastMatrix(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CaptureFormatError(f"invalid capture: {exc}") from exc
-    if active_start != spec.active_indices[0]:
-        raise CaptureFormatError(
-            f"active start {active_start} is not the centred start "
-            f"{spec.active_indices[0]} for {active_count} of {num_subcarriers} subcarriers"
-        )
+        frames = np.empty((frame_count, samples_per_pulse), np.complex64)
+        for start in range(0, frame_count, _CHUNK_FRAMES):
+            block = frames[start : start + _CHUNK_FRAMES]
+            got = fh.readinto(block)  # short if the file shrank since fstat
+            if got < block.nbytes:
+                raise truncated(start * samples_per_pulse * _BYTES_PER_SAMPLE + got)
+            try:
+                _check_finite(block)
+            except ValueError as exc:
+                raise CaptureFormatError(f"invalid capture: {exc}") from exc
+    capture = SlowFastMatrix._checked(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
     return capture, CaptureMeta(averaging_factor=averaging_factor, seed=seed)

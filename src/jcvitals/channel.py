@@ -7,8 +7,8 @@ applied in the frequency domain (per-subcarrier linear phase) so sub-mm
 motion survives; time-domain frames are the inverse DFT of the delayed band,
 which is exact for gapless periodic pulse transmission.
 
-The simulator works in blocks of ``_CHUNK_FRAMES`` frames, each drawn into its
-own cache-resident frequency grid of P bins. Noise is drawn into that grid as
+The simulator works in blocks of ``_CHUNK_FRAMES`` frames, each drawn into a
+cache-resident frequency grid of P bins that each worker reuses. Noise is drawn into that grid as
 circular complex white noise on every bin, one PCG64 stream per
 ``_NOISE_FRAMES``-frame noise block (block b seeded by child b of the seed's
 ``SeedSequence``), so any worker can draw any block. The active band's signal
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -119,6 +120,8 @@ class Scene:
     def __post_init__(self):
         if self.cable_delay_range_m < 0:
             raise ValueError("cable_delay_range_m must be >= 0")
+        if self.snr_db is not None and not self.snr_db > -math.inf:  # NaN or -inf
+            raise ValueError(f"snr_db must be a number or +inf (noiseless), not {self.snr_db}")
 
 
 @dataclass(eq=False)
@@ -139,8 +142,8 @@ class SlowFastMatrix:
             raise ValueError("need at least one frame")
         if not self.frame_rate_hz > 0:
             raise ValueError("frame_rate_hz must be positive")
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("capture contains non-finite samples")
+        for start in range(0, self.n_frames, _CHUNK_FRAMES):
+            _check_finite(self.frames[start : start + _CHUNK_FRAMES])
 
     @property
     def n_frames(self) -> int:
@@ -158,6 +161,16 @@ class SlowFastMatrix:
         """A copy with ``changes`` that keep its checks true (a nested band,
         averaged frames)."""
         return self._checked(**vars(self) | changes)
+
+
+def _check_finite(block: np.ndarray) -> None:
+    """Raise unless every sample of ``block`` (a few frames, so its mask stays
+    in cache) is finite. Complex rows are checked as their float view, which
+    ``isfinite`` scans in about half the time."""
+    if block.dtype.kind == "c" and block.strides[-1] == block.itemsize:
+        block = block.view(block.real.dtype)
+    if not np.isfinite(block).all():
+        raise ValueError("capture contains non-finite samples")
 
 
 def max_unambiguous_range(spec: WaveformSpec) -> float:
@@ -207,13 +220,18 @@ def simulate_capture(
 
     transfer = _transfer(scene, spec, n_frames)  # checks trace lengths and aliased returns
     sigma = None
-    if scene.snr_db is not None and math.isfinite(scene.snr_db):
+    if scene.snr_db is not None and scene.snr_db != math.inf:  # +inf: noiseless
         if not scene.targets:
             raise ValueError("snr_db needs at least one target as power reference")
         # flat band: every frame of a return carries the same mean power
         strongest = max(t.amplitude for t in scene.targets)
         target_power = spec.active_count * strongest**2 / spec.samples_per_pulse
-        noise_power = target_power / 10.0 ** (scene.snr_db / 10.0)
+        try:
+            noise_power = target_power / 10.0 ** (scene.snr_db / 10.0)
+        except OverflowError:  # snr_db above ~3083: noise below every sample's precision
+            noise_power = 0.0
+        except ZeroDivisionError:  # snr_db below ~-3233: noise beyond the float range
+            raise ValueError(f"snr_db {scene.snr_db} puts the noise beyond the float range") from None
         sigma = math.sqrt(noise_power / 2.0)
     streams = np.random.SeedSequence(rng_seed).spawn(-(-n_frames // _NOISE_FRAMES))
     p = spec.samples_per_pulse
@@ -224,10 +242,18 @@ def simulate_capture(
     above = slice(bins[split], bins[-1] + 1, spec.grid_step)
     x_active = symbol.freq_domain[spec.active_indices]
     frames = np.empty((n_frames, p), dtype=np.complex64)
+    # each worker's block buffers, reused by all its blocks: ~1.4 MB made afresh per block
+    # is more than glibc keeps in its heap by default, so it would be handed back to the
+    # kernel and faulted in again, block after block
+    scratch = threading.local()
 
     def block(start, stop):
-        # a cache-resident grid, not rows of ``frames``: faster to draw into
-        grid = np.empty((stop - start, p), dtype=complex)
+        if not hasattr(scratch, "grid"):
+            # a cache-resident grid, not rows of ``frames``: faster to draw into
+            scratch.grid = np.empty((_CHUNK_FRAMES, p), dtype=complex)
+            scratch.band = np.empty((_CHUNK_FRAMES, spec.active_count), dtype=complex)
+            scratch.ramp = np.empty_like(scratch.band)
+        grid = scratch.grid[: stop - start]
         if sigma is None:
             grid.fill(0.0)
         else:
@@ -236,16 +262,18 @@ def simulate_capture(
             for row in range(0, stop - start, _NOISE_FRAMES):
                 rng = np.random.default_rng(streams[(start + row) // _NOISE_FRAMES])
                 rng.standard_normal(out=noise[row : row + _NOISE_FRAMES])
-            noise *= sigma
-        band = transfer(start, stop) * x_active
+            with np.errstate(over="ignore", invalid="ignore"):  # inf samples, reported below
+                noise *= sigma
+        band = transfer(start, stop, scratch.band[: stop - start], scratch.ramp[: stop - start])
+        band *= x_active
         grid[:, below] += band[:, :split]
         grid[:, above] += band[:, split:]
-        # rounded once from complex128: a complex64 transform would change the JCV1 bytes
-        with np.errstate(over="ignore"):  # a sample beyond complex64's range is reported below
+        # rounded once from complex128: a complex64 transform would change the JCV1 bytes;
+        # a sample beyond complex64's (or complex128's) range is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
             frames[start:stop] = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
         # checked here, while the rows are in cache, not in a second pass over the capture
-        if not np.isfinite(frames[start:stop]).all():
-            raise ValueError("capture contains non-finite samples")
+        _check_finite(frames[start:stop])
 
     _split_blocks(n_frames, block)
     return SlowFastMatrix._checked(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
@@ -263,8 +291,9 @@ def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.nda
 
 def _transfer(scene: Scene, spec: WaveformSpec, n_frames: int):
     """Check every trace's length and every return against the unambiguous
-    range, then return ``rows(start, stop)``: the transfer of frames ``start``
-    to ``stop``."""
+    range, then return ``rows(start, stop, out=None, ramp=None)``: the transfer
+    of frames ``start`` to ``stop``, written into ``out`` if given, with
+    ``ramp`` (the same shape) as each return's scratch."""
     if any(len(t.trace.samples) < n_frames for t in scene.targets):
         raise ValueError("target trace shorter than n_frames")
     # a clutter point's path is one frame long: its row is the same in every frame
@@ -285,16 +314,18 @@ def _transfer(scene: Scene, spec: WaveformSpec, n_frames: int):
     for amplitude, tau in delays[:n_static]:
         static += _ramp(amplitude, tau, spec)
 
-    def rows(start, stop):
-        transfer = np.repeat(static, stop - start, axis=0)
+    def rows(start, stop, out=None, ramp=None):
+        if out is None:
+            out = np.empty((stop - start, spec.active_count), dtype=complex)
+        out[...] = static
         for amplitude, tau in delays[n_static:]:
-            transfer += _ramp(amplitude, tau[start:stop], spec)
-        return transfer
+            out += _ramp(amplitude, tau[start:stop], spec, ramp)
+        return out
 
     return rows
 
 
-def _ramp(amplitude: float, tau: np.ndarray, spec: WaveformSpec) -> np.ndarray:
+def _ramp(amplitude: float, tau: np.ndarray, spec: WaveformSpec, out=None) -> np.ndarray:
     """``amplitude * exp(-2j*pi*outer(tau, f_rf))`` over the active band.
 
     The active subcarriers are evenly spaced, f_k = f_0 + k*df, so each row is
@@ -303,7 +334,7 @@ def _ramp(amplitude: float, tau: np.ndarray, spec: WaveformSpec) -> np.ndarray:
     """
     f_0 = spec.carrier_frequency_hz + spec.active_bins[0] / spec.pulse_duration_s
     df = spec.grid_step / spec.pulse_duration_s
-    ramp = np.empty((tau.size, spec.active_count), dtype=complex)
+    ramp = np.empty((tau.size, spec.active_count), dtype=complex) if out is None else out
     ramp[:, 0] = amplitude * np.exp(-2j * np.pi * f_0 * tau)
     ramp[:, 1:] = np.exp(-2j * np.pi * df * tau)[:, None]
     return np.cumprod(ramp, axis=1, out=ramp)

@@ -1,12 +1,18 @@
 """End-to-end processing of a capture: channel estimation, target detection,
-per-target phase tracking and vital-sign estimation."""
+per-target phase tracking and vital-sign estimation.
+
+Besides the (averaged) capture, no N x A or N x P array is made: range power
+and the per-target bin series are each one pass over its frames in blocks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .channel import SlowFastMatrix
-from .ranging import RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series, to_range_profiles
-from .receiver import ChannelFrameSeries, average_slow_time, estimate_channel
+# to_range_profiles and extract_bin_series, the one-band and one-bin cases of the two passes,
+# stay importable here for callers (perfbench's tracer) that look the chain's steps up here
+from .ranging import (RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series,  # noqa: F401
+                      range_profiles, to_range_profiles)
+from .receiver import ChannelFrameSeries, average_slow_time, estimate_channel, series_at_bins
 from .vitals import PhaseTrack, VitalsConfig, VitalsEstimate, estimate_vitals, phase_track
 from .waveform import BasebandSymbol, build_waveform, select_subcarriers
 
@@ -68,27 +74,6 @@ def process_capture(
     return process_with_subcarriers(capture, [count], symbol, config)[count]
 
 
-def _analyze(series: ChannelFrameSeries, config: ProcessingConfig) -> ProcessResult:
-    """Detection, phase tracking and vitals from one channel estimate."""
-    profiles = to_range_profiles(
-        series, cable_offset_m=config.cable_offset_m, remove_static=config.remove_static_clutter
-    )
-    detections = detect_targets(
-        profiles,
-        max_targets=config.max_targets,
-        min_prominence_db=config.min_prominence_db,
-        max_below_peak_db=config.max_below_peak_db,
-    )
-
-    targets = []
-    for i, det in enumerate(sorted(detections, key=lambda d: d.range_m)):
-        series_at_bin = extract_bin_series(series, det)
-        track = phase_track(series_at_bin, series.frame_rate_hz)
-        estimate = estimate_vitals(track, config.vitals)
-        targets.append(TargetResult(target_id=i, detection=det, track=track, estimate=estimate))
-    return ProcessResult(series=series, profiles=profiles, detections=detections, targets=targets)
-
-
 def process_with_subcarriers(
     capture: SlowFastMatrix,
     counts: list,
@@ -101,8 +86,11 @@ def process_with_subcarriers(
     which isolates the effect of occupied bandwidth, keeping the central
     frequency fixed. The capture is averaged and its channel estimated once,
     at the widest count; centred bands are nested, so each count reads a
-    column sub-range of that transfer. Each result is bit-identical to
-    ``process_capture`` on the capture relabelled with that count's band.
+    column sub-range of that estimate. The frames are read twice: once for
+    every count's range power, once for every target's bin series (and once
+    more for the static mean with ``remove_static_clutter``). Each result is
+    bit-identical to ``process_capture`` on the capture relabelled with that
+    count's band.
     """
     config = config or ProcessingConfig()
     if symbol is None:
@@ -113,4 +101,32 @@ def process_with_subcarriers(
     capture = average_slow_time(capture, config.averaging_factor)
     widest = max(specs.values(), key=lambda spec: spec.active_count)
     series = estimate_channel(capture._relabelled(spec=widest), symbol, window=config.window)
-    return {count: _analyze(series.narrowed(spec), config) for count, spec in specs.items()}
+    # pass 1: every count's range power, each frame transformed once
+    profiles = range_profiles(series, list(specs.values()), config.cable_offset_m,
+                              config.remove_static_clutter)
+    detections = [
+        detect_targets(
+            band,
+            max_targets=config.max_targets,
+            min_prominence_db=config.min_prominence_db,
+            max_below_peak_db=config.max_below_peak_db,
+        )
+        for band in profiles
+    ]
+    # targets numbered by increasing range (nearest person first)
+    nearest = [sorted(found, key=lambda d: d.range_m) for found in detections]
+    # pass 2: every target's bin series at every count, each frame read once
+    columns = iter(series_at_bins(capture.frames, [
+        band.series.bin_weights(det.bin_index) for band, near in zip(profiles, nearest)
+        for det in near
+    ]))
+    results = {}
+    for count, band, found, near in zip(specs, profiles, detections, nearest):
+        targets = []
+        for i, det in enumerate(near):
+            track = phase_track(next(columns), series.frame_rate_hz)
+            estimate = estimate_vitals(track, config.vitals)
+            targets.append(TargetResult(target_id=i, detection=det, track=track, estimate=estimate))
+        results[count] = ProcessResult(series=band.series, profiles=band, detections=found,
+                                       targets=targets)
+    return results

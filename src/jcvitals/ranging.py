@@ -1,4 +1,8 @@
-"""Range calibration of the impulse response and per-target peak selection."""
+"""Range calibration of the impulse response and per-target peak selection.
+
+Range power is read from the frames through the channel estimate's block
+quotients, every band of a subcarrier sweep in one pass; no N x A transfer or
+N x P impulse response is held."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -52,40 +56,75 @@ def to_range_profiles(
     cable_offset_m: float = 0.0,
     remove_static: bool = False,
 ) -> RangeProfileSeries:
-    """Mean |h|^2 per range bin on a fast-time axis scaled to meters, minus
-    the cable offset, from the band's lag autocorrelation, not the P-grid.
+    """Mean |h|^2 per range bin of one band: ``range_profiles`` at its own band."""
+    return range_profiles(series, [series.spec], cable_offset_m, remove_static)[0]
+
+
+def range_profiles(
+    series: ChannelFrameSeries,
+    specs: list,
+    cable_offset_m: float = 0.0,
+    remove_static: bool = False,
+) -> list:
+    """Mean |h|^2 per range bin of ``series`` narrowed to each band in
+    ``specs``, on a fast-time axis scaled to meters, minus the cable offset,
+    from each band's lag autocorrelation, not the P-grid. Every frame is
+    transformed once, whatever the number of bands.
 
     With active bins b0 + g*a (a < A, grid step g) and z_n row n of the
     tapered transfer (mean-removed when ``remove_static``), Wiener-Khinchin
     gives mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
-    R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each frame block
-    goes into columns 0..A-1 of a zero-filled m-point grid, m the smallest
-    11-smooth length >= 2A-1, and is inverse-transformed. Its |.|^2, summed in
-    frame order, is the m-point DFT of R with the lags taken mod m: exact,
-    since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is added
-    into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one P-point
-    inverse DFT gives the power, clamped at 0.
+    R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each block of the
+    transfer (``series.quotient``) gives each band its columns, which go into
+    columns 0..A-1 of a zero-filled m-point grid, m the smallest 11-smooth
+    length >= 2A-1, and are inverse-transformed in complex128. Their |.|^2,
+    summed in frame order, is the m-point DFT of R with the lags taken mod m:
+    exact, since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is
+    added into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one
+    P-point inverse DFT gives the power, clamped at 0.
 
     ``remove_static`` subtracts the per-bin slow-time mean of the complex
     impulse response before taking magnitudes (static-clutter suppression,
-    off by default).
+    off by default); that mean costs one more pass over the frames.
     """
     if cable_offset_m < 0:
         raise ValueError("cable_offset_m must be >= 0")
-    spec = series.spec
-    p, count = spec.samples_per_pulse, spec.active_count
-    m = _fast_length(2 * count - 1)
-    taps = series._taps()
-    # = the mean of h, by linearity; summed in complex128 whatever the transfer's precision
-    static = series.transfer.mean(axis=0, dtype=complex) if remove_static else 0.0
+    bands = [series.narrowed(spec) for spec in specs]  # raises unless each is nested
+    mean = None
+    if remove_static:
+        # = the mean of h, by linearity; block sums added in frame order, in complex128
+        def block_sum(start, stop):
+            return series.quotient(start, stop).sum(axis=0, dtype=complex)
+
+        mean = sum(_split_blocks(series.n_frames, block_sum)) / series.n_frames
+    plans = []  # per band: its columns of the transfer, grid length, taps and static mean
+    for band in bands:
+        lo = int(band.spec.active_indices[0] - series.spec.active_indices[0])
+        columns = slice(lo, lo + band.spec.active_count)
+        static = 0.0 if mean is None else mean[columns]
+        plans.append((columns, _fast_length(2 * band.spec.active_count - 1), band._taps(), static))
 
     def block(start, stop):
-        z = np.zeros((stop - start, m), dtype=complex)
-        z[:, :count] = (series.transfer[start:stop] - static) * taps
-        return _block_power(np.fft.ifft(z, axis=1, out=z))
+        transfer = series.quotient(start, stop)
+        powers = []
+        for columns, m, taps, static in plans:
+            z = np.zeros((stop - start, m), dtype=complex)
+            z[:, : columns.stop - columns.start] = (transfer[:, columns] - static) * taps
+            powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
+        return powers
 
-    # block sums added in frame order, as one serial pass adds them
-    spectrum = sum(_split_blocks(series.n_frames, block))
+    blocks = _split_blocks(series.n_frames, block)
+    # each band's block sums added in frame order, as one serial pass adds them
+    return [_profiles(band, sum(powers[i] for powers in blocks), cable_offset_m, remove_static)
+            for i, band in enumerate(bands)]
+
+
+def _profiles(series: ChannelFrameSeries, spectrum: np.ndarray, cable_offset_m: float,
+              remove_static: bool) -> RangeProfileSeries:
+    """The band's profiles from the m-point spectrum of its lags, summed over the frames."""
+    spec = series.spec
+    p, count = spec.samples_per_pulse, spec.active_count
+    m = spectrum.size
     d = np.arange(1 - count, count)
     grid = np.zeros(p, dtype=complex)
     np.add.at(grid, spec.grid_step * d % p, m * np.fft.fft(spectrum)[d])

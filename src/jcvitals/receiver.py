@@ -1,14 +1,22 @@
 """Per-frame channel transfer function estimation, the impulse response
 derived from it, and coherent slow-time averaging of the raw frames.
 
-A capture goes through one fast-time FFT, in blocks of ``_CHUNK_FRAMES``
-frames and in the capture's own precision (JCV1 stores complex64). Only the
-N x A transfer matrix is kept, also at the capture's precision: each block is
-divided by the reference in complex128 and rounded once into it. Its readers
-upcast one block at a time and accumulate in complex128. The receive chain
-never builds the N x P impulse response: it reads one range bin at a time
-(``bin_series``), and ``ranging.to_range_profiles`` reads range power from
-the band's lags.
+The channel estimate is a view of the capture: its frames (not copied), the
+reference symbol on the band, the spec and the window. No N x A transfer is
+stored. Every quantity the receive chain reads is linear in the frames and is
+computed from them in blocks of ``_CHUNK_FRAMES`` frames:
+
+- ``quotient``: one fast-time FFT of a block in the capture's own precision
+  (JCV1 stores complex64), divided by the reference in complex128 and rounded
+  once back to that precision: the block's rows of the transfer.
+  ``ranging.range_profiles`` reads range power from these, all bands of a
+  sweep from one FFT per frame.
+- ``series_at_bins``: the impulse response at one range bin is a fixed linear
+  functional of the raw frame, so each bin's series is one complex128 dot
+  product per frame, all bins of all bands in one pass over the frames.
+
+``transfer`` and ``impulse`` build the whole N x A and N x P arrays on access;
+the receive chain never reads them.
 """
 from __future__ import annotations
 
@@ -28,67 +36,107 @@ _MIN_REFERENCE_MAGNITUDE = 1e-12
 
 @dataclass(eq=False)
 class ChannelFrameSeries:
-    """Estimated channel per pulse.
+    """Estimated channel per pulse, as a view of the capture's ``frames``.
 
-    ``transfer``: N x A complex, one column per active subcarrier, at the
-    capture's precision (complex64 for simulated and read captures); cast it
-    with ``astype(complex)`` where complex128 is needed.
-    The impulse response h (N x P) is the inverse DFT of each transfer row,
-    tapered by ``window`` and embedded at the active-band grid positions
-    (zero-filled elsewhere). It is computed from ``transfer`` when read:
-    ``bin_series`` gives one column, and ``impulse`` builds the whole matrix
-    (uncached).
+    ``reference`` (A) is the transmitted symbol on ``spec``'s active band.
+    The transfer (N x A) is each frame's spectrum on the active band divided
+    by ``reference``, at the capture's precision (complex64 for simulated and
+    read captures). The impulse response h (N x P) is the inverse DFT of each
+    transfer row, tapered by ``window`` and embedded at the active-band grid
+    positions (zero-filled elsewhere). Both are computed from the frames when
+    read: ``bin_series`` gives one column of h, and ``transfer`` and
+    ``impulse`` build the whole matrices (uncached).
     """
 
-    transfer: np.ndarray
+    frames: np.ndarray
+    reference: np.ndarray
     frame_rate_hz: float
     spec: WaveformSpec
     window: str | None = None
 
     @property
     def n_frames(self) -> int:
-        return self.transfer.shape[0]
+        return self.frames.shape[0]
 
     def _taps(self) -> np.ndarray | float:
         return 1.0 if self.window is None else hann(self.spec.active_count)
+
+    def quotient(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the transfer: one FFT of those frames,
+        divided by the reference in complex128 and rounded once to the
+        capture's precision."""
+        spectra = np.fft.fft(self.frames[start:stop], axis=1, norm="ortho")
+        out = np.empty((stop - start, self.spec.active_count),
+                       dtype=np.result_type(spectra.dtype, np.complex64))
+        return np.divide(spectra[:, self.spec.active_bins % self.spec.samples_per_pulse],
+                         self.reference, out=out)
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """N x A transfer at the capture's precision, built on each access."""
+        return np.concatenate(_split_blocks(self.n_frames, self.quotient))
 
     @property
     def impulse(self) -> np.ndarray:
         """N x P complex impulse response, built on each access."""
         p = self.spec.samples_per_pulse
         grid = np.zeros((self.n_frames, p), dtype=complex)
-        grid[:, self.spec.active_bins % p] = self.transfer * self._taps()
-        return np.fft.ifft(grid, axis=1, out=grid)
+        taps = self._taps()
 
-    def bin_series(self, bin_index: int) -> np.ndarray:
-        """``impulse[:, bin_index]`` as one length-A dot product per frame."""
-        p = self.spec.samples_per_pulse
-        turns = (self.spec.active_bins % p) * bin_index % p  # exact integer phase
-        steering = np.exp(2j * np.pi * turns / p) / p * self._taps()
-        weights = np.conj(steering)  # vecdot conjugates its first argument back
-        series = np.empty(self.n_frames, dtype=complex)
-
-        # not ``transfer @ steering``: that is a BLAS zgemv, whose OpenBLAS
-        # threads keep spinning after the call and take the core the next
-        # block loop needs; vecdot makes one single-threaded dot per row. The
-        # block is upcast here, so no N x A complex128 copy of the transfer is made.
         def block(start, stop):
-            np.vecdot(weights, self.transfer[start:stop].astype(complex, copy=False),
-                      out=series[start:stop])
+            grid[start:stop, self.spec.active_bins % p] = self.quotient(start, stop) * taps
 
         _split_blocks(self.n_frames, block)
-        return series
+        return np.fft.ifft(grid, axis=1, out=grid)
+
+    def bin_weights(self, bin_index: int) -> np.ndarray:
+        """The P-point u with ``impulse[n, bin_index] = sum_t u[t] frames[n, t]``.
+
+        h[n, k] = sum_a w[a] S[n, b_a], with S the unitary DFT of frame n and
+        w[a] = taps[a] exp(2 pi i b_a k / P) / (P reference[a]); so u is the
+        unitary forward DFT of w placed at the band's grid positions.
+        """
+        p = self.spec.samples_per_pulse
+        bins = self.spec.active_bins % p
+        turns = bins * bin_index % p  # exact integer phase
+        grid = np.zeros(p, dtype=complex)
+        grid[bins] = np.exp(2j * np.pi * turns / p) / p * self._taps() / self.reference
+        return np.fft.fft(grid, norm="ortho")
+
+    def bin_series(self, bin_index: int) -> np.ndarray:
+        """``impulse[:, bin_index]``: one dot product per frame."""
+        return series_at_bins(self.frames, [self.bin_weights(bin_index)])[0]
 
     def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
         """This estimate restricted to ``spec``'s band, a centred band nested
-        in this one: a contiguous column sub-range of the transfer."""
+        in this one: the same frames, a contiguous sub-range of the reference."""
         if (spec.active_count > self.spec.active_count
                 or replace(self.spec, active_count=spec.active_count) != spec):
             raise ValueError("narrowed band is not nested in the estimated band on its grid")
         lo = int(spec.active_indices[0] - self.spec.active_indices[0])
-        hi = lo + spec.active_count
-        # contiguous, as estimate_channel returns it for this band (a view at the full width)
-        return replace(self, transfer=np.ascontiguousarray(self.transfer[:, lo:hi]), spec=spec)
+        return replace(self, reference=self.reference[lo : lo + spec.active_count], spec=spec)
+
+
+def series_at_bins(frames: np.ndarray, weights: list) -> list:
+    """``frames @ u`` for each u in ``weights`` (``bin_weights``), in one
+    pass over the frames: each block is upcast to complex128 once and dotted
+    with every u. Results are contiguous, one per weight, and the same bytes
+    whatever the other weights."""
+    if not weights:
+        return []
+    n_frames = frames.shape[0]
+    conjugated = np.conj(weights)  # vecdot conjugates its first argument back
+    series = np.empty((n_frames, len(weights)), dtype=complex)
+
+    # not ``block @ weights``: that is a BLAS zgemm, whose OpenBLAS threads
+    # keep spinning after the call and take the core the next block loop
+    # needs; vecdot makes one single-threaded dot per frame and weight
+    def block(start, stop):
+        rows = frames[start:stop].astype(complex, copy=False)
+        np.vecdot(conjugated, rows[:, None, :], out=series[start:stop])
+
+    _split_blocks(n_frames, block)
+    return list(np.ascontiguousarray(series.T))
 
 
 def estimate_channel(
@@ -96,7 +144,8 @@ def estimate_channel(
     symbol: BasebandSymbol,
     window: str | None = None,
 ) -> ChannelFrameSeries:
-    """Divide each received spectrum by the transmitted one on active bins.
+    """The estimate that divides each received spectrum by the transmitted
+    one on active bins, as a view of ``capture``: nothing is transformed here.
 
     The reference symbol may occupy a wider band than the capture's spec (the
     subcarrier-reduction studies reprocess a full-band capture with a narrowed
@@ -126,20 +175,8 @@ def estimate_channel(
             "reference symbol magnitude below 1e-12 on an active bin; "
             "waveform/spec mismatch"
         )
-
-    bins = spec.active_bins % spec.samples_per_pulse
-    precision = np.result_type(capture.frames.dtype, np.complex64)
-    transfer = np.empty((capture.n_frames, spec.active_count), dtype=precision)
-
-    def block(start, stop):
-        spectra = np.fft.fft(capture.frames[start:stop], axis=1, norm="ortho")
-        # x_active is complex128, so the quotient is too, rounded once into the transfer
-        np.divide(spectra[:, bins], x_active, out=transfer[start:stop])
-
-    _split_blocks(capture.n_frames, block)
-    return ChannelFrameSeries(
-        transfer=transfer, frame_rate_hz=capture.frame_rate_hz, spec=spec, window=window
-    )
+    return ChannelFrameSeries(frames=capture.frames, reference=x_active,
+                              frame_rate_hz=capture.frame_rate_hz, spec=spec, window=window)
 
 
 def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:

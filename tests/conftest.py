@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from jcvitals.channel import Scene, SceneTarget, simulate_capture
 from jcvitals.physio import VitalParams, synthesize_displacement
+from jcvitals.receiver import ChannelFrameSeries
 from jcvitals.waveform import WaveformSpec, build_waveform
 
 
@@ -73,3 +75,18 @@ def capture_of(targets, spec, symbol, *, snr_db=None, duration_s=40.0, frame_rat
     return simulate_capture(
         scene, symbol, spec, n_frames=n_frames, rng_seed=seed, frame_rate_hz=frame_rate_hz
     )
+
+
+def series_of(transfer, spec, window=None, frame_rate_hz=50.0) -> ChannelFrameSeries:
+    """A channel estimate whose band quotient is ``transfer`` (N x A): frames
+    made by modulating it onto a unit-modulus reference on the band and
+    inverse-transforming each row, at the transfer's precision (complex64
+    frames for a complex64 transfer, so their quotient is it to that precision)."""
+    transfer = np.asarray(transfer)
+    reference = np.exp(2j * np.pi * np.random.default_rng(0).random(spec.active_count))
+    grid = np.zeros((transfer.shape[0], spec.samples_per_pulse), dtype=complex)
+    grid[:, spec.active_bins % spec.samples_per_pulse] = transfer * reference
+    frames = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
+    return ChannelFrameSeries(frames=frames.astype(np.result_type(transfer, np.complex64), copy=False),
+                              reference=reference, frame_rate_hz=frame_rate_hz, spec=spec,
+                              window=window)

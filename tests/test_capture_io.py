@@ -183,6 +183,25 @@ class TestErrors:
         with pytest.raises(CaptureFormatError, match="centred start"):
             read_capture(path)
 
+    @pytest.mark.parametrize("frame", [0, _CHUNK_FRAMES, 2 * _CHUNK_FRAMES + 2])
+    def test_non_finite_sample_in_any_block(self, tmp_path, frame):
+        path = tmp_path / "inf.jcv"
+        write_capture(path, small_capture(n=2 * _CHUNK_FRAMES + 3))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, _HEADER_SIZE + 8 * (160 * frame + 3) + 4, float("inf"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CaptureFormatError, match="non-finite"):
+            read_capture(path)
+
+    def test_truncation_reported_before_a_non_finite_sample(self, tmp_path):
+        path = tmp_path / "both.jcv"
+        write_capture(path, small_capture(n=2 * _CHUNK_FRAMES + 3))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, _HEADER_SIZE, float("nan"))
+        path.write_bytes(bytes(raw[:-8]))
+        with pytest.raises(CaptureFormatError, match="truncated payload"):
+            read_capture(path)
+
     def test_non_finite_sample(self, tmp_path):
         path = tmp_path / "nan.jcv"
         write_capture(path, small_capture())
@@ -195,7 +214,7 @@ class TestErrors:
 
 def test_read_holds_the_payload_once(tmp_path):
     # the payload goes straight into the returned array: no bytes object of
-    # the same size beside it; what remains is the finiteness check's mask
+    # the same size beside it
     spec = WaveformSpec()
     rng = np.random.default_rng(5)
     frames = rng.standard_normal((2000, 2 * spec.samples_per_pulse), np.float32).view(np.complex64)
@@ -210,7 +229,7 @@ def test_read_holds_the_payload_once(tmp_path):
     assert loaded.frames.dtype == np.complex64
     assert loaded.frames.flags.c_contiguous
     assert np.array_equal(loaded.frames, frames)
-    assert peak <= 1.25 * loaded.frames.nbytes
+    assert peak <= 1.02 * loaded.frames.nbytes
 
 
 def test_write_holds_no_copy_of_the_payload(tmp_path):

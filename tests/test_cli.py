@@ -203,6 +203,22 @@ class TestSimulate:
             assert "config error: cli_test: " in stderr, name
             assert not out.exists(), name
 
+    @pytest.mark.parametrize("snr_db, code", [(-4000.0, 1), (4000.0, 0)])
+    def test_snr_beyond_the_float_range(self, tmp_path, capsys, snr_db, code):
+        # the noise power ratio leaves the float range: a noise too loud for
+        # the capture is a config error, a negligible noise simulates
+        scene = {"snr_db": snr_db, "targets": [{"rest_range_m": 2.0}]}
+        config = write_config(tmp_path, duration_s=2.0, scene=scene,
+                              analysis={"min_duration_s": 1.0})
+        out = tmp_path / "x.jcv"
+        got, _, stderr = run_cli(capsys, "simulate", "--config", str(config), "--output", str(out))
+        assert got == code
+        if code:
+            assert "config error: cli_test: " in stderr and "Traceback" not in stderr
+            assert not out.exists()
+        else:
+            assert out.exists()
+
     def test_builtin_scenario_seed_override(self, tmp_path, capsys):
         out = tmp_path / "s.jcv"
         code, stdout, _ = run_cli(capsys, "simulate", "--scenario", "holding_breath",

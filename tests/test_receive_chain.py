@@ -1,10 +1,12 @@
 """The streamed receive chain against its full-matrix definitions.
 
-The chain keeps only the N x A transfer matrix. Range power is read from the
-band's lag autocorrelation, accumulated over frame blocks of compact inverse
-DFTs, the series at a bin is a dot product of the transfer, and a subcarrier
-sweep estimates the channel once at its widest count. These tests pin each
-shortcut to the quantity it replaces.
+The chain keeps no N x A transfer matrix: the channel estimate is a view of
+the capture's frames. Range power is read from the band's lag
+autocorrelation, accumulated over frame blocks of compact inverse DFTs of
+the block's transfer rows, the series at a bin is a dot product of the raw
+frames, and a subcarrier sweep estimates the channel once at its widest
+count and reads the frames once per pass for all counts. These tests pin
+each shortcut to the quantity it replaces.
 """
 import logging
 import tracemalloc
@@ -16,14 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import get_window
 
-from jcvitals import pipeline
+from jcvitals import channel, pipeline
 from jcvitals.channel import _CHUNK_FRAMES, SlowFastMatrix
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.ranging import to_range_profiles
 from jcvitals.receiver import ChannelFrameSeries
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
 
-from conftest import capture_of, make_target
+from conftest import capture_of, make_target, series_of
 
 SWEEP_COUNTS = [10, 20, 40, 80, 160, 320, 640, 1024]
 
@@ -56,8 +58,7 @@ class TestStreamedDefinitions:
         shape = (n_frames, spec.active_count)
         static = 10.0 * (rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1]))
         transfer = static + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        series = ChannelFrameSeries(transfer=transfer, frame_rate_hz=50.0, spec=spec,
-                                    window=window)
+        series = series_of(transfer, spec, window=window)
 
         h = full_impulse(series)
         h_clean = h - h.mean(axis=0) if remove_static else h
@@ -114,8 +115,7 @@ class TestStreamedDefinitions:
         else:
             shape = (n_frames, count)
             transfer = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        series = ChannelFrameSeries(transfer=transfer, frame_rate_hz=50.0, spec=spec,
-                                    window=window)
+        series = series_of(transfer, spec, window=window)
 
         h = full_impulse(series)
         h_clean = h - h.mean(axis=0) if remove_static else h
@@ -127,8 +127,7 @@ class TestStreamedDefinitions:
 
     def test_narrowing_rejects_a_band_that_is_not_nested(self, small_spec):
         narrow = select_subcarriers(small_spec, 8)
-        series = ChannelFrameSeries(transfer=np.ones((3, 8), dtype=complex), frame_rate_hz=50.0,
-                                    spec=narrow)
+        series = series_of(np.ones((3, 8), dtype=complex), narrow)
         assert series.narrowed(select_subcarriers(small_spec, 4)).transfer.shape == (3, 4)
         with pytest.raises(ValueError, match="nested"):
             series.narrowed(select_subcarriers(small_spec, 16))
@@ -137,25 +136,62 @@ class TestStreamedDefinitions:
             series.narrowed(select_subcarriers(other_grid, 4))
 
 
+class TestBinSeriesFromFrames:
+    """A bin's series is one dot product of each raw frame with a fixed
+    P-point vector; it equals the column of the impulse response defined from
+    the band quotient."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_matches_the_transfer_domain_definition(self, monkeypatch, window, workers):
+        monkeypatch.setattr(channel, "_WORKERS", workers)
+        # grid step 3: 24 of 40 subcarriers on a 130-sample pulse, then narrowed to 9
+        spec = select_subcarriers(WaveformSpec(num_subcarriers=40, samples_per_pulse=130,
+                                               subcarrier_spacing_hz=3.0e6), 24)
+        rng = np.random.default_rng(4)
+        shape = (2 * _CHUNK_FRAMES + 5, spec.active_count)
+        transfer = 5.0 + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wide = series_of(transfer, spec, window=window)
+        for series in (wide, wide.narrowed(select_subcarriers(spec, 9))):
+            assert series.spec.grid_step == 3
+            h = full_impulse(series)
+            peak = np.abs(h).max()
+            for b in range(series.spec.samples_per_pulse):
+                np.testing.assert_allclose(series.bin_series(b), h[:, b], rtol=1e-12,
+                                           atol=1e-12 * peak)
+
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_same_bytes_on_one_and_two_workers(self, small_spec, monkeypatch, window):
+        rng = np.random.default_rng(5)
+        shape = (4 * _CHUNK_FRAMES + 1, small_spec.active_count)
+        series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           small_spec, window=window)
+        narrow = series.narrowed(select_subcarriers(small_spec, 21))
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(channel, "_WORKERS", workers)
+            got.append([s.bin_series(b).tobytes() for s in (series, narrow) for b in (0, 7, 159)])
+        assert got[0] == got[1]
+
+
 def complex64_series(spec: WaveformSpec, n_frames: int, window=None) -> ChannelFrameSeries:
-    """A complex64 transfer with a static part 100 times its moving part."""
+    """Complex64 frames of a transfer with a static part 100 times its moving part."""
     rng = np.random.default_rng(3)
     shape = (n_frames, spec.active_count)
     static = 100.0 * np.exp(2j * np.pi * rng.random(shape[1]))
     transfer = static + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ChannelFrameSeries(transfer=transfer.astype(np.complex64), frame_rate_hz=50.0,
-                              spec=spec, window=window)
+    return series_of(transfer.astype(np.complex64), spec, window=window)
 
 
 class TestComplex64Transfer:
-    """A complex64 transfer, as simulated and read captures give, is read in
-    complex128 one block at a time: the same values as its complex128 copy,
+    """Complex64 frames, as simulated and read captures give, are read in
+    complex128 one block at a time: the same values as their complex128 copy,
     without holding that copy."""
 
     @pytest.mark.parametrize("window", [None, "hann"])
     def test_bin_series_equals_the_complex128_series(self, default_spec, window):
         series = complex64_series(default_spec, 2 * _CHUNK_FRAMES + 3, window)
-        wide = replace(series, transfer=series.transfer.astype(complex))
+        wide = replace(series, frames=series.frames.astype(complex))
         for b in (0, 1, 27, 1250, default_spec.samples_per_pulse - 1):
             got = series.bin_series(b)
             assert got.dtype == complex
@@ -171,12 +207,12 @@ class TestComplex64Transfer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.05 * series.transfer.nbytes
+        assert peak < 0.05 * series.frames.nbytes
 
     @pytest.mark.parametrize("window", [None, "hann"])
     def test_static_removal_matches_the_complex128_path(self, default_spec, window):
         series = complex64_series(default_spec, 2000, window)
-        wide = replace(series, transfer=series.transfer.astype(complex))
+        wide = series_of(series.transfer.astype(complex), default_spec, window=window)
         expected = to_range_profiles(wide, remove_static=True).mean_power
         got = to_range_profiles(series, remove_static=True).mean_power
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * expected.max())
@@ -264,9 +300,8 @@ class TestSubcarrierSweep:
         n_frames = 250
         rng = np.random.default_rng(0)
         shape = (n_frames, default_spec.active_count)
-        series = ChannelFrameSeries(
-            transfer=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            frame_rate_hz=50.0, spec=default_spec)
+        series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           default_spec)
         points = []
         original = np.fft.ifft
 
@@ -322,12 +357,27 @@ def test_process_capture_peak_memory_within_one_and_a_half_captures(default_spec
     assert peak <= 1.5 * capture.frames.nbytes
 
 
+def test_process_capture_holds_no_per_capture_array(default_spec, default_symbol):
+    """Beside the capture, the chain holds frame blocks and per-target series:
+    no N x A transfer, N x P impulse response or N x P mask."""
+    capture = capture_of([make_target()], default_spec, default_symbol, snr_db=20.0)
+    assert capture.frames.shape == (2000, 2500) and capture.frames.dtype == np.complex64
+    process_capture(capture, symbol=default_symbol)  # lazy imports and caches outside
+    tracemalloc.start()
+    try:
+        result = process_capture(capture, symbol=default_symbol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.targets) == 1
+    assert peak < 0.15 * capture.frames.nbytes
+
+
 def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
     rng = np.random.default_rng(0)
     shape = (2000, default_spec.active_count)
-    series = ChannelFrameSeries(
-        transfer=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        frame_rate_hz=50.0, spec=default_spec, window="hann")
+    series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                       default_spec, window="hann")
     profiles = to_range_profiles(series, remove_static=True)
     full = series.n_frames * default_spec.samples_per_pulse * 16
     for build in (lambda: series.impulse, lambda: profiles.profiles):

@@ -260,6 +260,21 @@ class TestFiniteFrames:
         assert capture.frames.tobytes() == expected.frames.tobytes()
         assert (capture.frame_rate_hz, capture.spec) == (expected.frame_rate_hz, small_spec)
 
+    def test_noise_far_below_the_return_simulates(self, small_spec, small_symbol):
+        """At +4000 dB the power ratio overflows a float; the noise is ~1e-200."""
+        target = make_target(duration_s=2.0)
+        quiet = simulate_capture(Scene(targets=[target], snr_db=4000.0), small_symbol,
+                                 small_spec, n_frames=20)
+        clean = simulate_capture(Scene(targets=[target]), small_symbol, small_spec, n_frames=20)
+        np.testing.assert_array_equal(quiet.frames, clean.frames)
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, -1e308])
+    def test_noise_beyond_the_float_range_is_rejected(self, small_spec, small_symbol, snr_db):
+        """At -4000 dB the power ratio underflows to 0; the frames would not be finite."""
+        scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=snr_db)
+        with pytest.raises(ValueError):
+            simulate_capture(scene, small_symbol, small_spec, n_frames=20)
+
     @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan])
     def test_frame_rate_checked_before_simulating(self, small_spec, small_symbol, rate):
         with pytest.raises(ValueError, match="frame_rate_hz must be positive"):

@@ -152,10 +152,11 @@ class Boom(RuntimeError):
     pass
 
 
-def fail_on(monkeypatch, name, on_caller, call):
-    """Patch ``numpy.fft.<name>`` to raise on the ``call``-th call made on
-    the caller's thread (``on_caller``) or on any other thread."""
-    original = getattr(np.fft, name)
+def fail_on(monkeypatch, name, on_caller, call, module=np.fft):
+    """Patch ``module.<name>`` (``numpy.fft`` by default) to raise on the
+    ``call``-th call made on the caller's thread (``on_caller``) or on any
+    other thread."""
+    original = getattr(module, name)
     calls = []
     caller = threading.current_thread()
 
@@ -166,7 +167,7 @@ def fail_on(monkeypatch, name, on_caller, call):
                 raise Boom(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, name, failing)
+    monkeypatch.setattr(module, name, failing)
 
 
 class TestFailures:
@@ -209,8 +210,15 @@ class TestFailures:
 
     @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
     def test_channel_estimate(self, capture, small_symbol, monkeypatch, on_caller):
+        # the estimate is a view; its FFT runs in the range-power pass over the frames
         self.run(monkeypatch, lambda: fail_on(monkeypatch, "fft", on_caller, 2),
-                 lambda: estimate_channel(capture, small_symbol))
+                 lambda: to_range_profiles(estimate_channel(capture, small_symbol)))
+
+    @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
+    def test_bin_series(self, capture, small_symbol, monkeypatch, on_caller):
+        series = estimate_channel(capture, small_symbol)
+        self.run(monkeypatch, lambda: fail_on(monkeypatch, "vecdot", on_caller, 2, np),
+                 lambda: series.bin_series(3))
 
     @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
     def test_range_profiles(self, capture, small_symbol, monkeypatch, on_caller):
