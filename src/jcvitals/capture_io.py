@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _CHUNK_FRAMES, SlowFastMatrix, _check_finite
+from .channel import _CHUNK_FRAMES, SlowFastMatrix, _check_finite, _check_scalars
 from .waveform import WaveformSpec
 
 MAGIC = b"JCV1"
@@ -128,10 +128,7 @@ def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
                 pulse_duration_s=samples_per_pulse / sample_rate_hz,
                 active_count=active_count,
             )
-            if frame_count < 1:
-                raise ValueError("need at least one frame")
-            if not frame_rate_hz > 0:
-                raise ValueError("frame_rate_hz must be positive")
+            _check_scalars(frame_count, frame_rate_hz)
         except (ValueError, ZeroDivisionError) as exc:
             raise CaptureFormatError(f"invalid capture: {exc}") from exc
         if active_start != spec.active_indices[0]:

@@ -138,10 +138,7 @@ class SlowFastMatrix:
         self.frames = np.atleast_2d(np.asarray(self.frames))
         if self.frames.shape[1] != self.spec.samples_per_pulse:
             raise ValueError("fast-time length must equal spec.samples_per_pulse")
-        if self.frames.shape[0] < 1:
-            raise ValueError("need at least one frame")
-        if not self.frame_rate_hz > 0:
-            raise ValueError("frame_rate_hz must be positive")
+        _check_scalars(self.n_frames, self.frame_rate_hz)
         for start in range(0, self.n_frames, _CHUNK_FRAMES):
             _check_finite(self.frames[start : start + _CHUNK_FRAMES])
 
@@ -161,6 +158,14 @@ class SlowFastMatrix:
         """A copy with ``changes`` that keep its checks true (a nested band,
         averaged frames)."""
         return self._checked(**vars(self) | changes)
+
+
+def _check_scalars(n_frames: int, frame_rate_hz: float) -> None:
+    """Raise unless ``n_frames`` frames at ``frame_rate_hz`` make a capture."""
+    if n_frames < 1:
+        raise ValueError("need at least one frame")
+    if not frame_rate_hz > 0:
+        raise ValueError("frame_rate_hz must be positive")
 
 
 def _check_finite(block: np.ndarray) -> None:

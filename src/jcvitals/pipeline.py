@@ -53,6 +53,10 @@ class TargetResult:
 
 @dataclass
 class ProcessResult:
+    """One receive-chain run. ``series`` is a view of the processed capture's
+    frames, so a kept result keeps the (averaged) frames alive, and each read
+    of ``series.transfer`` or ``series.impulse`` transforms every frame again."""
+
     series: ChannelFrameSeries
     profiles: RangeProfileSeries
     detections: list

@@ -32,6 +32,9 @@ from .waveform import BasebandSymbol, WaveformSpec, hann
 log = logging.getLogger(__name__)
 
 _MIN_REFERENCE_MAGNITUDE = 1e-12
+# frames upcast to complex128 at a time for the bin-series dot products, so
+# each worker's temporary is a few P-sample rows, not a whole block
+_DOT_FRAMES = 8
 
 
 @dataclass(eq=False)
@@ -45,7 +48,8 @@ class ChannelFrameSeries:
     transfer row, tapered by ``window`` and embedded at the active-band grid
     positions (zero-filled elsewhere). Both are computed from the frames when
     read: ``bin_series`` gives one column of h, and ``transfer`` and
-    ``impulse`` build the whole matrices (uncached).
+    ``impulse`` build the whole matrices (uncached). A kept estimate keeps
+    its frames alive: for an averaged capture, the averaged frames.
     """
 
     frames: np.ndarray
@@ -119,9 +123,9 @@ class ChannelFrameSeries:
 
 def series_at_bins(frames: np.ndarray, weights: list) -> list:
     """``frames @ u`` for each u in ``weights`` (``bin_weights``), in one
-    pass over the frames: each block is upcast to complex128 once and dotted
-    with every u. Results are contiguous, one per weight, and the same bytes
-    whatever the other weights."""
+    pass over the frames: each ``_DOT_FRAMES`` rows of a block are upcast to
+    complex128 once and dotted with every u. Results are contiguous, one per
+    weight, and the same bytes whatever the other weights."""
     if not weights:
         return []
     n_frames = frames.shape[0]
@@ -132,8 +136,11 @@ def series_at_bins(frames: np.ndarray, weights: list) -> list:
     # keep spinning after the call and take the core the next block loop
     # needs; vecdot makes one single-threaded dot per frame and weight
     def block(start, stop):
-        rows = frames[start:stop].astype(complex, copy=False)
-        np.vecdot(conjugated, rows[:, None, :], out=series[start:stop])
+        for lo in range(start, stop, _DOT_FRAMES):
+            hi = min(lo + _DOT_FRAMES, stop)
+            # one expression, so the last slice's upcast is freed before the next is made
+            np.vecdot(conjugated, frames[lo:hi, None, :].astype(complex, copy=False),
+                      out=series[lo:hi])
 
     _split_blocks(n_frames, block)
     return list(np.ascontiguousarray(series.T))

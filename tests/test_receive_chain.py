@@ -207,7 +207,7 @@ class TestComplex64Transfer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.05 * series.frames.nbytes
+        assert peak < 0.05 * series.transfer.nbytes
 
     @pytest.mark.parametrize("window", [None, "hann"])
     def test_static_removal_matches_the_complex128_path(self, default_spec, window):
