@@ -15,9 +15,10 @@ config's ``averaging_factor`` decides.
 ``read_capture`` checks the file size and the rest of the header before it
 allocates, then reads the payload once, with ``readinto``, into one complex64
 array, ``_CHUNK_FRAMES`` rows at a time, each block checked for finite samples
-while it is in cache. The payload is copied, not mapped: an ``np.memmap``
-capture dies with SIGBUS once its file is truncated and rewritten in place, as
-``write_capture`` does.
+while it is in cache. The array is the frames' own private anonymous mapping
+(``channel._frames_array``), not a map of the file: the payload is copied, as
+an ``np.memmap`` capture dies with SIGBUS once its file is truncated and
+rewritten in place, as ``write_capture`` does.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _CHUNK_FRAMES, SlowFastMatrix, _check_finite, _check_scalars
+from .channel import _CHUNK_FRAMES, SlowFastMatrix, _check_finite, _check_scalars, _frames_array
 from .waveform import WaveformSpec
 
 MAGIC = b"JCV1"
@@ -137,7 +138,7 @@ def read_capture(path) -> tuple[SlowFastMatrix, CaptureMeta]:
                 f"{spec.active_indices[0]} for {active_count} of {num_subcarriers} subcarriers"
             )
 
-        frames = np.empty((frame_count, samples_per_pulse), np.complex64)
+        frames = _frames_array(frame_count, samples_per_pulse)
         for start in range(0, frame_count, _CHUNK_FRAMES):
             block = frames[start : start + _CHUNK_FRAMES]
             got = fh.readinto(block)  # short if the file shrank since fstat

@@ -25,11 +25,20 @@ spaced, so a return's transfer is a geometric progression along them, built
 with one cumulative product per frame.
 
 Every block loop, here and in the receive chain, is ``_split_blocks``: at
-most ``_WORKERS`` threads, each running one contiguous range of blocks.
+most ``_WORKERS`` threads, each running one contiguous range of blocks. Each
+worker keeps its block buffers (``_per_worker``). numpy buffers a 2-D strided
+or broadcast operand of an arithmetic operation, up to 384 KiB a call, but
+not of an assignment, so the loops gather strided operands by assignment and
+repeat a broadcast one on each row of a block, and a block allocates nothing
+of 128 KiB or more once the first has run. Frames (simulated, read or
+averaged) get their own mapping from ``_frames_array``, not a block of the
+malloc heap.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +81,51 @@ def _split_blocks(n_frames: int, block) -> list:
     with ThreadPoolExecutor(1) as helper:
         later = [helper.submit(run, lo) for lo in range(per_worker, n_frames, per_worker)]
         return run(0) + [r for f in later for r in f.result()]
+
+
+def _per_worker(make):
+    """``buffers()``: what ``make()`` returns, made once in each thread that calls it, so each
+    worker of a block loop reuses its buffers for all its blocks."""
+    local = threading.local()
+
+    def buffers():
+        if not hasattr(local, "made"):
+            local.made = make()
+        return local.made
+
+    return buffers
+
+
+# anonymous maps are private where mmap takes no flags (Windows)
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _frames_array(n_frames: int, p: int, dtype=np.complex64) -> np.ndarray:
+    """An uninitialised, C-contiguous, writable ``(n_frames, p)`` array in its own private
+    anonymous mapping, unmapped when the array is freed.
+
+    Not numpy's allocation: glibc serves a block below its dynamic mmap threshold (up to
+    32 MiB) from the heap, and freeing a mapped block raises the threshold to that block's
+    size. One freed 19 MiB capture would put the next on the heap, which keeps it after
+    it is freed, and a later capture would sit on top. Private, not mmap's default shared
+    map, which got no huge pages; huge pages are asked for where the platform has them,
+    as a hint, so a kernel without them is no error."""
+    buffer = mmap.mmap(-1, n_frames * p * np.dtype(dtype).itemsize, **_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):
+            buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype).reshape(n_frames, p)
+
+
+def _band_slices(spec: WaveformSpec) -> tuple[int, slice, slice]:
+    """The active band on the P-point grid as two strided slices, faster than one indexed
+    read or add: the bins below 0, wrapped to ``P + b``, and the rest, with the count of the
+    first. The bins are evenly spaced and bin 0 is always among them."""
+    p = spec.samples_per_pulse
+    bins = spec.active_bins
+    split = int(np.searchsorted(bins, 0))
+    return (split, slice(p + bins[0], p, spec.grid_step),
+            slice(bins[split], bins[-1] + 1, spec.grid_step))
 
 
 @dataclass
@@ -240,25 +294,19 @@ def simulate_capture(
         sigma = math.sqrt(noise_power / 2.0)
     streams = np.random.SeedSequence(rng_seed).spawn(-(-n_frames // _NOISE_FRAMES))
     p = spec.samples_per_pulse
-    bins = spec.active_bins  # evenly spaced, and bin 0 is always among them
-    split = int(np.searchsorted(bins, 0))
-    # two strided slices, faster than one indexed add: the bins below 0 wrap to p + b
-    below = slice(p + bins[0], p, spec.grid_step)
-    above = slice(bins[split], bins[-1] + 1, spec.grid_step)
-    x_active = symbol.freq_domain[spec.active_indices]
-    frames = np.empty((n_frames, p), dtype=np.complex64)
-    # each worker's block buffers, reused by all its blocks: ~1.4 MB made afresh per block
-    # is more than glibc keeps in its heap by default, so it would be handed back to the
-    # kernel and faulted in again, block after block
-    scratch = threading.local()
+    split, below, above = _band_slices(spec)
+    # the pulse on the band, on each row of a block: a same-shape operand, which numpy does
+    # not buffer, and one operation a block, not one a row (each numpy call takes the GIL)
+    x_active = np.tile(symbol.freq_domain[spec.active_indices], (_CHUNK_FRAMES, 1))
+    frames = _frames_array(n_frames, p)
+    # each worker's grid (a cache-resident grid, not rows of ``frames``: faster to draw
+    # into), band and ramp: ~1.4 MB made afresh per block would go back to the kernel
+    # and be faulted in again, block after block
+    buffers = _per_worker(lambda: tuple(np.empty((_CHUNK_FRAMES, width), dtype=complex)
+                                        for width in (p, spec.active_count, spec.active_count)))
 
     def block(start, stop):
-        if not hasattr(scratch, "grid"):
-            # a cache-resident grid, not rows of ``frames``: faster to draw into
-            scratch.grid = np.empty((_CHUNK_FRAMES, p), dtype=complex)
-            scratch.band = np.empty((_CHUNK_FRAMES, spec.active_count), dtype=complex)
-            scratch.ramp = np.empty_like(scratch.band)
-        grid = scratch.grid[: stop - start]
+        grid, band, ramp = (buffer[: stop - start] for buffer in buffers())
         if sigma is None:
             grid.fill(0.0)
         else:
@@ -269,10 +317,15 @@ def simulate_capture(
                 rng.standard_normal(out=noise[row : row + _NOISE_FRAMES])
             with np.errstate(over="ignore", invalid="ignore"):  # inf samples, reported below
                 noise *= sigma
-        band = transfer(start, stop, scratch.band[: stop - start], scratch.ramp[: stop - start])
-        band *= x_active
-        grid[:, below] += band[:, :split]
-        grid[:, above] += band[:, split:]
+        band = transfer(start, stop, band, ramp)
+        band *= x_active[: stop - start]
+        # the grid's band columns are strided: gathered into ``ramp`` by assignment, added
+        # (the same sums as noise + band) and scattered back
+        ramp[:, :split] = grid[:, below]
+        ramp[:, split:] = grid[:, above]
+        band += ramp
+        grid[:, below] = band[:, :split]
+        grid[:, above] = band[:, split:]
         # rounded once from complex128: a complex64 transform would change the JCV1 bytes;
         # a sample beyond complex64's (or complex128's) range is reported below
         with np.errstate(over="ignore", invalid="ignore"):

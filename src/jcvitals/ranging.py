@@ -2,14 +2,17 @@
 
 Range power is read from the frames through the channel estimate's block
 quotients, every band of a subcarrier sweep in one pass; no N x A transfer or
-N x P impulse response is held."""
+N x P impulse response is held. Each worker reuses one buffer for a block's
+transfer rows and one flat complex128 buffer, which holds the block's spectra
+and band and then each band's lag grid in turn, so a block allocates only its
+power sums once the first has run."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _split_blocks
+from .channel import _CHUNK_FRAMES, _per_worker, _split_blocks
 from .constants import SPEED_OF_LIGHT
 from .receiver import ChannelFrameSeries
 
@@ -90,26 +93,57 @@ def range_profiles(
     if cable_offset_m < 0:
         raise ValueError("cable_offset_m must be >= 0")
     bands = [series.narrowed(spec) for spec in specs]  # raises unless each is nested
+    p, count, dtype = series.spec.samples_per_pulse, series.spec.active_count, series.dtype
+    longest = max(_fast_length(2 * band.spec.active_count - 1) for band in bands)
+    reference = np.tile(series.reference, (_CHUNK_FRAMES, 1))  # read by both workers
+    spectra_size = -(-_CHUNK_FRAMES * p * dtype.itemsize // 16)  # in complex128 elements
+    # per worker: one flat complex128 buffer, holding a block's spectra and its band, then
+    # each band's grid in turn, and the block's transfer rows
+    flat_size = max(_CHUNK_FRAMES * longest, spectra_size + _CHUNK_FRAMES * count)
+    buffers = _per_worker(lambda: (np.empty(flat_size, dtype=complex),
+                                   np.empty((_CHUNK_FRAMES, count), dtype=dtype)))
+
+    def block_quotient(start, stop):
+        flat, out = buffers()
+        spectra = flat[:spectra_size].view(dtype)[: (stop - start) * p].reshape(-1, p)
+        band = flat[spectra_size : spectra_size + (stop - start) * count].reshape(-1, count)
+        return series.quotient(start, stop, (spectra, band, reference, out))
+
     mean = None
     if remove_static:
         # = the mean of h, by linearity; block sums added in frame order, in complex128
         def block_sum(start, stop):
-            return series.quotient(start, stop).sum(axis=0, dtype=complex)
+            transfer = block_quotient(start, stop)
+            # upcast into the spent spectra: a mixed-type sum would buffer ~145 KiB a block
+            upcast = buffers()[0][: transfer.size].reshape(transfer.shape)
+            upcast[...] = transfer
+            return upcast.sum(axis=0)
 
         mean = sum(_split_blocks(series.n_frames, block_sum)) / series.n_frames
     plans = []  # per band: its columns of the transfer, grid length, taps and static mean
     for band in bands:
         lo = int(band.spec.active_indices[0] - series.spec.active_indices[0])
         columns = slice(lo, lo + band.spec.active_count)
-        static = 0.0 if mean is None else mean[columns]
-        plans.append((columns, _fast_length(2 * band.spec.active_count - 1), band._taps(), static))
+        # complex128 taps on the complex128 grid: float64 taps take numpy's slower mixed-type loop
+        taps = None if band.window is None else band._taps().astype(complex)
+        static = None if mean is None else mean[columns]
+        plans.append((columns, _fast_length(2 * band.spec.active_count - 1), taps, static))
 
     def block(start, stop):
-        transfer = series.quotient(start, stop)
+        transfer = block_quotient(start, stop)
+        flat = buffers()[0]  # the spectra are spent: the grids reuse their memory
         powers = []
         for columns, m, taps, static in plans:
-            z = np.zeros((stop - start, m), dtype=complex)
-            z[:, : columns.stop - columns.start] = (transfer[:, columns] - static) * taps
+            z = flat[: (stop - start) * m].reshape(stop - start, m)
+            width = columns.stop - columns.start
+            z[:, width:] = 0.0
+            z[:, :width] = transfer[:, columns]
+            # a row at a time: numpy buffers a broadcast 2-D operand
+            for row in z[:, :width]:
+                if static is not None:
+                    row -= static
+                if taps is not None:
+                    row *= taps
             powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
         return powers
 

@@ -7,16 +7,20 @@ stored. Every quantity the receive chain reads is linear in the frames and is
 computed from them in blocks of ``_CHUNK_FRAMES`` frames:
 
 - ``quotient``: one fast-time FFT of a block in the capture's own precision
-  (JCV1 stores complex64), divided by the reference in complex128 and rounded
-  once back to that precision: the block's rows of the transfer.
-  ``ranging.range_profiles`` reads range power from these, all bands of a
-  sweep from one FFT per frame.
+  (JCV1 stores complex64), gathered from the band's two strided slices,
+  divided by the reference in complex128 and rounded once back to that
+  precision: the block's rows of the transfer. It is the one definition:
+  ``transfer``, ``impulse`` and both of ``ranging.range_profiles``'s passes
+  (range power, all bands of a sweep from one FFT per frame, and the static
+  mean) call it, the passes with each worker's reused buffers.
 - ``series_at_bins``: the impulse response at one range bin is a fixed linear
   functional of the raw frame, so each bin's series is one complex128 dot
-  product per frame, all bins of all bands in one pass over the frames.
+  product per frame, all bins of all bands in one pass over the frames, each
+  worker upcasting 8 frames at a time into one reused buffer.
 
 ``transfer`` and ``impulse`` build the whole N x A and N x P arrays on access;
-the receive chain never reads them.
+the receive chain never reads them. ``average_slow_time`` writes the averaged
+frames into their own mapping (``channel._frames_array``).
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SlowFastMatrix, _split_blocks
+from .channel import SlowFastMatrix, _band_slices, _frames_array, _per_worker, _split_blocks
 from .waveform import BasebandSymbol, WaveformSpec, hann
 
 log = logging.getLogger(__name__)
@@ -65,15 +69,36 @@ class ChannelFrameSeries:
     def _taps(self) -> np.ndarray | float:
         return 1.0 if self.window is None else hann(self.spec.active_count)
 
-    def quotient(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start:stop`` of the transfer: one FFT of those frames,
-        divided by the reference in complex128 and rounded once to the
-        capture's precision."""
-        spectra = np.fft.fft(self.frames[start:stop], axis=1, norm="ortho")
-        out = np.empty((stop - start, self.spec.active_count),
-                       dtype=np.result_type(spectra.dtype, np.complex64))
-        return np.divide(spectra[:, self.spec.active_bins % self.spec.samples_per_pulse],
-                         self.reference, out=out)
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision of the frames' FFT and of the transfer: complex64 for JCV1 frames."""
+        return np.result_type(self.frames.dtype, np.complex64)
+
+    def quotient(self, start: int, stop: int, buffers: tuple | None = None) -> np.ndarray:
+        """Rows ``start:stop`` of the transfer: one FFT of those frames, the
+        band gathered from it by two strided slices, divided by the reference
+        in complex128 and rounded once to the capture's precision. ``buffers``
+        (the FFT's spectra, P columns of ``dtype``; the band, A columns of
+        complex128; the reference repeated on each row; the rows, A columns of
+        ``dtype``), each of at least ``stop - start`` rows, take the work in
+        place of new arrays."""
+        rows = stop - start
+        if buffers is None:
+            p, count = self.spec.samples_per_pulse, self.spec.active_count
+            buffers = (np.empty((rows, p), dtype=self.dtype),
+                       np.empty((rows, count), dtype=complex),
+                       np.tile(self.reference, (rows, 1)),
+                       np.empty((rows, count), dtype=self.dtype))
+        spectra, band, reference, out = (buffer[:rows] for buffer in buffers)
+        np.fft.fft(self.frames[start:stop], axis=1, norm="ortho", out=spectra)
+        split, below, above = _band_slices(self.spec)
+        band[:, :split] = spectra[:, below]
+        band[:, split:] = spectra[:, above]
+        # one operation on same-shape contiguous operands: numpy would buffer a broadcast
+        # reference (up to 384 KiB a call), and a row at a time costs one call per row
+        np.divide(band, reference, out=band)
+        out[...] = band
+        return out
 
     @property
     def transfer(self) -> np.ndarray:
@@ -124,23 +149,26 @@ class ChannelFrameSeries:
 def series_at_bins(frames: np.ndarray, weights: list) -> list:
     """``frames @ u`` for each u in ``weights`` (``bin_weights``), in one
     pass over the frames: each ``_DOT_FRAMES`` rows of a block are upcast to
-    complex128 once and dotted with every u. Results are contiguous, one per
-    weight, and the same bytes whatever the other weights."""
+    complex128 once, into the worker's one reused buffer, and dotted with
+    every u. Results are contiguous, one per weight, and the same bytes
+    whatever the other weights."""
     if not weights:
         return []
     n_frames = frames.shape[0]
     conjugated = np.conj(weights)  # vecdot conjugates its first argument back
     series = np.empty((n_frames, len(weights)), dtype=complex)
+    buffers = _per_worker(lambda: np.empty((_DOT_FRAMES, frames.shape[1]), dtype=complex))
 
     # not ``block @ weights``: that is a BLAS zgemm, whose OpenBLAS threads
     # keep spinning after the call and take the core the next block loop
     # needs; vecdot makes one single-threaded dot per frame and weight
     def block(start, stop):
+        upcast = buffers()
         for lo in range(start, stop, _DOT_FRAMES):
             hi = min(lo + _DOT_FRAMES, stop)
-            # one expression, so the last slice's upcast is freed before the next is made
-            np.vecdot(conjugated, frames[lo:hi, None, :].astype(complex, copy=False),
-                      out=series[lo:hi])
+            rows = upcast[: hi - lo]
+            rows[...] = frames[lo:hi]
+            np.vecdot(conjugated, rows[:, None, :], out=series[lo:hi])
 
     _split_blocks(n_frames, block)
     return list(np.ascontiguousarray(series.T))
@@ -187,7 +215,7 @@ def estimate_channel(
 
 
 def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:
-    """Coherent mean of each block of ``factor`` raw frames."""
+    """Coherent mean of each block of ``factor`` raw frames, in their own mapping."""
     if factor == 1:
         return capture
     n = capture.n_frames
@@ -198,5 +226,7 @@ def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:
     blocks, dropped = divmod(n, factor)
     if dropped:
         log.warning("slow-time averaging drops %d trailing frame(s)", dropped)
-    frames = capture.frames[: blocks * factor].reshape(blocks, factor, -1).mean(axis=1)
+    p = capture.frames.shape[1]
+    frames = _frames_array(blocks, p, np.result_type(capture.frames.dtype, 1.0))  # mean's type
+    np.mean(capture.frames[: blocks * factor].reshape(blocks, factor, p), axis=1, out=frames)
     return capture._relabelled(frames=frames, frame_rate_hz=capture.frame_rate_hz / factor)

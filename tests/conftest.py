@@ -1,10 +1,33 @@
+import sys
+
 import numpy as np
 import pytest
 
+from jcvitals import channel
 from jcvitals.channel import Scene, SceneTarget, simulate_capture
 from jcvitals.physio import VitalParams, synthesize_displacement
 from jcvitals.receiver import ChannelFrameSeries
 from jcvitals.waveform import WaveformSpec, build_waveform
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """The sizes in bytes of the frames arrays ``channel._frames_array`` maps
+    while the test runs. tracemalloc does not see a mapping, so a test that
+    bounds a traced peak adds these: an upper bound, as if every mapping were
+    alive at the traced peak."""
+    sizes = []
+    original = channel._frames_array
+
+    def recording(*args, **kwargs):
+        frames = original(*args, **kwargs)
+        sizes.append(frames.nbytes)
+        return frames
+
+    for name, module in list(sys.modules.items()):  # every module that imported the helper
+        if name.startswith("jcvitals") and getattr(module, "_frames_array", None) is original:
+            monkeypatch.setattr(module, "_frames_array", recording)
+    return sizes
 
 
 @pytest.fixture(scope="session")

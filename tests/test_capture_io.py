@@ -128,10 +128,11 @@ class TestErrors:
         with pytest.raises(CaptureFormatError, match=f"13 trailing bytes.*{len(raw)} bytes total"):
             read_capture(path)
 
-    def test_huge_frame_count_rejected_before_allocating(self, tmp_path):
+    def test_huge_frame_count_rejected_before_allocating(self, tmp_path, mapped):
         path = tmp_path / "huge.jcv"
         write_capture(path, small_capture())
         patch_header(path, 6, 2**31 - 1)  # frame count: ~2.7 TB of payload declared
+        mapped.clear()  # the written capture's own frames
         tracemalloc.start()
         try:
             with pytest.raises(CaptureFormatError, match="truncated payload"):
@@ -140,6 +141,7 @@ class TestErrors:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert mapped == []
 
     def test_short_read_is_truncation(self, tmp_path, monkeypatch):
         # the file is whole when its size is checked but shrinks before the
@@ -212,7 +214,7 @@ class TestErrors:
             read_capture(path)
 
 
-def test_read_holds_the_payload_once(tmp_path):
+def test_read_holds_the_payload_once(tmp_path, mapped):
     # the payload goes straight into the returned array: no bytes object of
     # the same size beside it
     spec = WaveformSpec()
@@ -223,9 +225,10 @@ def test_read_holds_the_payload_once(tmp_path):
     tracemalloc.start()
     try:
         loaded, _ = read_capture(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
     finally:
         tracemalloc.stop()
+    assert mapped == [loaded.frames.nbytes]
     assert loaded.frames.dtype == np.complex64
     assert loaded.frames.flags.c_contiguous
     assert np.array_equal(loaded.frames, frames)

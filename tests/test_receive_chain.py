@@ -18,11 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import get_window
 
-from jcvitals import channel, pipeline
-from jcvitals.channel import _CHUNK_FRAMES, SlowFastMatrix
+from jcvitals import channel, pipeline, ranging, receiver
+from jcvitals.channel import _CHUNK_FRAMES, Scene, SlowFastMatrix, simulate_capture
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
-from jcvitals.ranging import to_range_profiles
-from jcvitals.receiver import ChannelFrameSeries
+from jcvitals.ranging import range_profiles, to_range_profiles
+from jcvitals.receiver import ChannelFrameSeries, estimate_channel, series_at_bins
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
 
 from conftest import capture_of, make_target, series_of
@@ -388,3 +388,44 @@ def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * full
+
+
+def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_symbol, monkeypatch):
+    """Each worker keeps its block buffers, and no block gives a numpy
+    arithmetic operation a 2-D strided or broadcast operand, which numpy
+    buffers (up to 384 KiB a call). So
+    once a worker's first block has run, no block allocates 128 KiB, glibc's
+    default mmap threshold, or more: not the simulator's, not range power's
+    over the 8 sweep bands with the Hann window and static removal (both
+    passes), and not the bin series'."""
+    peaks = []
+
+    def probing(n_frames, block):  # serial, one traced peak per block
+        results = []
+        for start in range(0, n_frames, _CHUNK_FRAMES):
+            current = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results.append(block(start, min(start + _CHUNK_FRAMES, n_frames)))
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+        return results
+
+    for module in (channel, receiver, ranging):
+        monkeypatch.setattr(module, "_split_blocks", probing)
+    scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
+    specs = [select_subcarriers(default_spec, count) for count in SWEEP_COUNTS]
+    after_first = {}
+    tracemalloc.start()
+    try:
+        capture = simulate_capture(scene, default_symbol, default_spec,
+                                   n_frames=4 * _CHUNK_FRAMES + 1, rng_seed=3)
+        after_first["simulate"], peaks[:] = peaks[1:], []
+        series = estimate_channel(capture, default_symbol, window="hann")
+        range_profiles(series, specs, remove_static=True)
+        after_first["range power"], peaks[:] = peaks[1:], []
+        series_at_bins(capture.frames, [series.bin_weights(b) for b in (0, 27, 1250)])
+        after_first["bin series"] = peaks[1:]
+    finally:
+        tracemalloc.stop()
+    assert all(len(blocks) >= 4 for blocks in after_first.values())
+    assert {loop: max(blocks) for loop, blocks in after_first.items()
+            if max(blocks) >= 128 * 1024} == {}

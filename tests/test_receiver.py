@@ -175,3 +175,13 @@ class TestAveraging:
         capture = identity_capture(small_symbol, n=7)
         out = average_slow_time(capture, 3)
         assert out.n_frames == 2
+
+    @pytest.mark.parametrize("dtype", [np.complex64, complex])
+    def test_same_bytes_as_the_mean_of_the_reshaped_frames(self, small_spec, small_symbol, dtype):
+        capture = capture_of([make_target(duration_s=2.0)], small_spec, small_symbol,
+                             snr_db=10.0, duration_s=2.0)
+        capture = replace(capture, frames=capture.frames.astype(dtype))
+        out = average_slow_time(capture, 3)  # 100 frames: the last is dropped
+        expected = capture.frames[:99].reshape(33, 3, -1).mean(axis=1)
+        assert out.frames.dtype == expected.dtype and out.frames.flags.c_contiguous
+        assert out.frames.tobytes() == expected.tobytes()

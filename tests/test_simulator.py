@@ -219,7 +219,7 @@ class TestNoiseStatistics:
             assert [(r.br_status, r.hr_status) for r in rows] == [(OK, OK)], seed
 
 
-def test_simulate_peak_memory_within_1_6_captures():
+def test_simulate_peak_memory_within_1_6_captures(mapped):
     scenario = get_scenario("sitting_still_2m")
     spec = scenario.waveform_spec()
     symbol = build_waveform(spec)
@@ -229,9 +229,10 @@ def test_simulate_peak_memory_within_1_6_captures():
     try:
         capture = simulate_capture(scene, symbol, spec, n_frames=scenario.n_frames,
                                    rng_seed=scenario.seed)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
     finally:
         tracemalloc.stop()
+    assert mapped == [capture.frames.nbytes]
     assert peak <= 1.6 * capture.frames.nbytes
 
 
