@@ -136,7 +136,6 @@ SCENARIO_SCHEMA = {
                 "harmonic_tolerance_hz": {"type": "number", "minimum": 0.0},
                 "min_duration_s": {"type": "number", "minimum": 0.0},
                 "window": {"enum": [None, "hann"]},
-                "remove_static_clutter": {"type": "boolean"},
                 "max_targets": {"type": "integer", "minimum": 1},
                 "min_prominence_db": {"type": "number"},
                 "max_below_peak_db": {"type": "number"},

@@ -24,7 +24,6 @@ class ProcessingConfig:
     cable_offset_m: float = 0.0
     averaging_factor: int = 1
     window: str | None = None
-    remove_static_clutter: bool = False
     max_targets: int = 4
     min_prominence_db: float = 10.0
     max_below_peak_db: float = 10.0
@@ -91,10 +90,9 @@ def process_with_subcarriers(
     frequency fixed. The capture is averaged and its channel estimated once,
     at the widest count; centred bands are nested, so each count reads a
     column sub-range of that estimate. The frames are read twice: once for
-    every count's range power, once for every target's bin series (and once
-    more for the static mean with ``remove_static_clutter``). Each result is
-    bit-identical to ``process_capture`` on the capture relabelled with that
-    count's band.
+    every count's range power, once for every target's bin series. Each
+    result is bit-identical to ``process_capture`` on the capture relabelled
+    with that count's band.
     """
     config = config or ProcessingConfig()
     if symbol is None:
@@ -106,8 +104,7 @@ def process_with_subcarriers(
     widest = max(specs.values(), key=lambda spec: spec.active_count)
     series = estimate_channel(capture._relabelled(spec=widest), symbol, window=config.window)
     # pass 1: every count's range power, each frame transformed once
-    profiles = range_profiles(series, list(specs.values()), config.cable_offset_m,
-                              config.remove_static_clutter)
+    profiles = range_profiles(series, list(specs.values()), config.cable_offset_m)
     detections = [
         detect_targets(
             band,

@@ -24,8 +24,8 @@ class RangeProfileSeries:
     """Slow-time mean power of the impulse response on a calibrated range axis.
 
     ``mean_power`` (P) is mean |h|^2 per range bin over the frames (from the
-    band's lags, after static-clutter removal when ``remove_static``).
-    ``profiles`` (N x P |h|) is built on each access; the pipeline never reads it.
+    band's lags). ``profiles`` (N x P |h|) is built on each access; the
+    pipeline never reads it.
     """
 
     range_axis_m: np.ndarray
@@ -33,14 +33,10 @@ class RangeProfileSeries:
     range_resolution_m: float
     bin_width_m: float
     series: ChannelFrameSeries
-    remove_static: bool = False
 
     @property
     def profiles(self) -> np.ndarray:
-        h = self.series.impulse
-        if self.remove_static:
-            h -= h.mean(axis=0)
-        return np.abs(h)
+        return np.abs(self.series.impulse)
 
     def mean_power_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
@@ -57,17 +53,15 @@ class TargetDetection:
 def to_range_profiles(
     series: ChannelFrameSeries,
     cable_offset_m: float = 0.0,
-    remove_static: bool = False,
 ) -> RangeProfileSeries:
     """Mean |h|^2 per range bin of one band: ``range_profiles`` at its own band."""
-    return range_profiles(series, [series.spec], cable_offset_m, remove_static)[0]
+    return range_profiles(series, [series.spec], cable_offset_m)[0]
 
 
 def range_profiles(
     series: ChannelFrameSeries,
     specs: list,
     cable_offset_m: float = 0.0,
-    remove_static: bool = False,
 ) -> list:
     """Mean |h|^2 per range bin of ``series`` narrowed to each band in
     ``specs``, on a fast-time axis scaled to meters, minus the cable offset,
@@ -75,8 +69,8 @@ def range_profiles(
     transformed once, whatever the number of bands.
 
     With active bins b0 + g*a (a < A, grid step g) and z_n row n of the
-    tapered transfer (mean-removed when ``remove_static``), Wiener-Khinchin
-    gives mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
+    tapered transfer, Wiener-Khinchin gives
+    mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
     R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each block of the
     transfer (``series.quotient``) gives each band its columns, which go into
     columns 0..A-1 of a zero-filled m-point grid, m the smallest 11-smooth
@@ -85,14 +79,12 @@ def range_profiles(
     exact, since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is
     added into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one
     P-point inverse DFT gives the power, clamped at 0.
-
-    ``remove_static`` subtracts the per-bin slow-time mean of the complex
-    impulse response before taking magnitudes (static-clutter suppression,
-    off by default); that mean costs one more pass over the frames.
     """
     if cable_offset_m < 0:
         raise ValueError("cable_offset_m must be >= 0")
     bands = [series.narrowed(spec) for spec in specs]  # raises unless each is nested
+    if not bands:
+        return []
     p, count, dtype = series.spec.samples_per_pulse, series.spec.active_count, series.dtype
     longest = max(_fast_length(2 * band.spec.active_count - 1) for band in bands)
     reference = np.tile(series.reference, (_CHUNK_FRAMES, 1))  # read by both workers
@@ -103,58 +95,39 @@ def range_profiles(
     buffers = _per_worker(lambda: (np.empty(flat_size, dtype=complex),
                                    np.empty((_CHUNK_FRAMES, count), dtype=dtype)))
 
-    def block_quotient(start, stop):
-        flat, out = buffers()
-        spectra = flat[:spectra_size].view(dtype)[: (stop - start) * p].reshape(-1, p)
-        band = flat[spectra_size : spectra_size + (stop - start) * count].reshape(-1, count)
-        return series.quotient(start, stop, (spectra, band, reference, out))
-
-    mean = None
-    if remove_static:
-        # = the mean of h, by linearity; block sums added in frame order, in complex128
-        def block_sum(start, stop):
-            transfer = block_quotient(start, stop)
-            # upcast into the spent spectra: a mixed-type sum would buffer ~145 KiB a block
-            upcast = buffers()[0][: transfer.size].reshape(transfer.shape)
-            upcast[...] = transfer
-            return upcast.sum(axis=0)
-
-        mean = sum(_split_blocks(series.n_frames, block_sum)) / series.n_frames
-    plans = []  # per band: its columns of the transfer, grid length, taps and static mean
+    plans = []  # per band: its columns of the transfer, grid length and taps
     for band in bands:
         lo = int(band.spec.active_indices[0] - series.spec.active_indices[0])
         columns = slice(lo, lo + band.spec.active_count)
         # complex128 taps on the complex128 grid: float64 taps take numpy's slower mixed-type loop
         taps = None if band.window is None else band._taps().astype(complex)
-        static = None if mean is None else mean[columns]
-        plans.append((columns, _fast_length(2 * band.spec.active_count - 1), taps, static))
+        plans.append((columns, _fast_length(2 * band.spec.active_count - 1), taps))
 
     def block(start, stop):
-        transfer = block_quotient(start, stop)
-        flat = buffers()[0]  # the spectra are spent: the grids reuse their memory
-        powers = []
-        for columns, m, taps, static in plans:
+        flat, out = buffers()
+        spectra = flat[:spectra_size].view(dtype)[: (stop - start) * p].reshape(-1, p)
+        band = flat[spectra_size : spectra_size + (stop - start) * count].reshape(-1, count)
+        transfer = series.quotient(start, stop, (spectra, band, reference, out))
+        powers = []  # the spectra are spent: each band's grid reuses their memory
+        for columns, m, taps in plans:
             z = flat[: (stop - start) * m].reshape(stop - start, m)
             width = columns.stop - columns.start
             z[:, width:] = 0.0
             z[:, :width] = transfer[:, columns]
-            # a row at a time: numpy buffers a broadcast 2-D operand
-            for row in z[:, :width]:
-                if static is not None:
-                    row -= static
-                if taps is not None:
+            if taps is not None:  # a row at a time: numpy buffers a broadcast 2-D operand
+                for row in z[:, :width]:
                     row *= taps
             powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
         return powers
 
     blocks = _split_blocks(series.n_frames, block)
     # each band's block sums added in frame order, as one serial pass adds them
-    return [_profiles(band, sum(powers[i] for powers in blocks), cable_offset_m, remove_static)
+    return [_profiles(band, sum(powers[i] for powers in blocks), cable_offset_m)
             for i, band in enumerate(bands)]
 
 
-def _profiles(series: ChannelFrameSeries, spectrum: np.ndarray, cable_offset_m: float,
-              remove_static: bool) -> RangeProfileSeries:
+def _profiles(series: ChannelFrameSeries, spectrum: np.ndarray,
+              cable_offset_m: float) -> RangeProfileSeries:
     """The band's profiles from the m-point spectrum of its lags, summed over the frames."""
     spec = series.spec
     p, count = spec.samples_per_pulse, spec.active_count
@@ -172,7 +145,6 @@ def _profiles(series: ChannelFrameSeries, spectrum: np.ndarray, cable_offset_m: 
         range_resolution_m=resolution,
         bin_width_m=bin_width,
         series=series,
-        remove_static=remove_static,
     )
 
 

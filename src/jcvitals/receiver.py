@@ -10,9 +10,9 @@ computed from them in blocks of ``_CHUNK_FRAMES`` frames:
   (JCV1 stores complex64), gathered from the band's two strided slices,
   divided by the reference in complex128 and rounded once back to that
   precision: the block's rows of the transfer. It is the one definition:
-  ``transfer``, ``impulse`` and both of ``ranging.range_profiles``'s passes
-  (range power, all bands of a sweep from one FFT per frame, and the static
-  mean) call it, the passes with each worker's reused buffers.
+  ``transfer``, ``impulse`` and ``ranging.range_profiles`` (range power, all
+  bands of a sweep from one FFT per frame) call it, range power with each
+  worker's reused buffers.
 - ``series_at_bins``: the impulse response at one range bin is a fixed linear
   functional of the raw frame, so each bin's series is one complex128 dot
   product per frame, all bins of all bands in one pass over the frames, each

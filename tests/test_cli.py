@@ -165,6 +165,16 @@ class TestSimulate:
         assert stdout == ""
         assert not out.exists()
 
+    def test_static_clutter_removal_key_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, analysis={"remove_static_clutter": True})
+        out = tmp_path / "x.jcv"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", str(config),
+                                       "--output", str(out))
+        assert code == 1
+        assert "config error: at analysis: " in stderr and "'remove_static_clutter'" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
     def test_missing_scenario_and_config_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "simulate", "--output", str(tmp_path / "x.jcv"))
         assert code == 1

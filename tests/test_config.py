@@ -116,6 +116,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="at analysis: .*'detrend'"):
             validate_scenario(minimal_config(analysis={"detrend": False}))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_static_clutter_removal_is_not_a_setting(self, value):
+        # subtracting the slow-time mean removes a still person's return too
+        with pytest.raises(ConfigError, match="at analysis: .*'remove_static_clutter'"):
+            validate_scenario(minimal_config(analysis={"remove_static_clutter": value}))
+        with pytest.raises(TypeError, match="remove_static_clutter"):
+            ProcessingConfig(remove_static_clutter=value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "nope.json")
@@ -207,7 +215,6 @@ class TestDefaultsFromDataclasses:
             "harmonic_tolerance_hz": 0.04,
             "min_duration_s": 10.0,
             "window": "hann",
-            "remove_static_clutter": True,
             "max_targets": 2,
             "min_prominence_db": 8.0,
             "max_below_peak_db": 12.0,

@@ -45,14 +45,13 @@ class TestStreamedDefinitions:
         n_frames=st.integers(1, 3 * _CHUNK_FRAMES + 1),
         count=st.integers(1, 64),
         window=st.sampled_from([None, "hann"]),
-        remove_static=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_frames=_CHUNK_FRAMES - 1, count=64, window=None, remove_static=False, seed=0)
-    @example(n_frames=_CHUNK_FRAMES, count=64, window="hann", remove_static=True, seed=1)
-    @example(n_frames=2 * _CHUNK_FRAMES + 3, count=33, window="hann", remove_static=False, seed=2)
+    @example(n_frames=_CHUNK_FRAMES - 1, count=64, window=None, seed=0)
+    @example(n_frames=_CHUNK_FRAMES, count=64, window="hann", seed=1)
+    @example(n_frames=2 * _CHUNK_FRAMES + 3, count=33, window="hann", seed=2)
     def test_power_and_bin_series_match_full_ifft(self, small_spec, n_frames, count, window,
-                                                  remove_static, seed):
+                                                  seed):
         spec = select_subcarriers(small_spec, count)
         rng = np.random.default_rng(seed)
         shape = (n_frames, spec.active_count)
@@ -61,12 +60,11 @@ class TestStreamedDefinitions:
         series = series_of(transfer, spec, window=window)
 
         h = full_impulse(series)
-        h_clean = h - h.mean(axis=0) if remove_static else h
-        power = np.mean(np.abs(h_clean) ** 2, axis=0)
+        power = np.mean(np.abs(h) ** 2, axis=0)
         # FFT rounding scales with a row's norm, not with each bin's value:
         # bins far below the peak are compared at the scale of the profile.
-        scale = np.mean(np.abs(h) ** 2, axis=0).max()
-        profiles = to_range_profiles(series, remove_static=remove_static)
+        scale = power.max()
+        profiles = to_range_profiles(series)
         np.testing.assert_allclose(profiles.mean_power, power, rtol=1e-12, atol=1e-12 * scale)
 
         peak = np.abs(h).max()
@@ -75,7 +73,7 @@ class TestStreamedDefinitions:
                                        atol=1e-12 * peak)
 
         np.testing.assert_allclose(series.impulse, h, rtol=1e-12, atol=1e-12 * peak)
-        np.testing.assert_allclose(profiles.profiles, np.abs(h_clean), rtol=1e-12,
+        np.testing.assert_allclose(profiles.profiles, np.abs(h), rtol=1e-12,
                                    atol=1e-12 * peak)
 
     @settings(max_examples=60, deadline=None)
@@ -86,20 +84,16 @@ class TestStreamedDefinitions:
         extra=st.integers(0, 8),
         n_frames=st.integers(1, 2 * _CHUNK_FRAMES + 1),
         window=st.sampled_from([None, "hann"]),
-        remove_static=st.booleans(),
         flat=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(step=1, count=1, wider=0, extra=0, n_frames=3, window="hann", remove_static=False,
-             flat=False, seed=0)
+    @example(step=1, count=1, wider=0, extra=0, n_frames=3, window="hann", flat=False, seed=0)
     @example(step=3, count=8, wider=0, extra=0, n_frames=_CHUNK_FRAMES + 1, window="hann",
-             remove_static=True, flat=False, seed=1)
-    @example(step=2, count=7, wider=2, extra=8, n_frames=5, window=None, remove_static=False,
-             flat=False, seed=2)
-    @example(step=1, count=5, wider=0, extra=0, n_frames=5, window=None, remove_static=False,
-             flat=True, seed=3)
+             flat=False, seed=1)
+    @example(step=2, count=7, wider=2, extra=8, n_frames=5, window=None, flat=False, seed=2)
+    @example(step=1, count=5, wider=0, extra=0, n_frames=5, window=None, flat=True, seed=3)
     def test_power_from_lags_where_lags_alias(self, step, count, wider, extra, n_frames, window,
-                                              remove_static, flat, seed):
+                                              flat, seed):
         """P runs from the subcarrier span up to 8 bins over it, so the 2A-1
         lags collide on the P-grid whenever 2A-1 > P/g. ``flat`` rows are one
         scalar times a flat band: their power has exact nulls, which rounding
@@ -118,11 +112,9 @@ class TestStreamedDefinitions:
         series = series_of(transfer, spec, window=window)
 
         h = full_impulse(series)
-        h_clean = h - h.mean(axis=0) if remove_static else h
-        power = np.mean(np.abs(h_clean) ** 2, axis=0)
-        scale = np.mean(np.abs(h) ** 2, axis=0).max()
-        mean_power = to_range_profiles(series, remove_static=remove_static).mean_power
-        np.testing.assert_allclose(mean_power, power, rtol=1e-12, atol=1e-12 * scale)
+        power = np.mean(np.abs(h) ** 2, axis=0)
+        mean_power = to_range_profiles(series).mean_power
+        np.testing.assert_allclose(mean_power, power, rtol=1e-12, atol=1e-12 * power.max())
         assert np.all(mean_power >= 0)
 
     def test_narrowing_rejects_a_band_that_is_not_nested(self, small_spec):
@@ -210,11 +202,11 @@ class TestComplex64Transfer:
         assert peak < 0.05 * series.transfer.nbytes
 
     @pytest.mark.parametrize("window", [None, "hann"])
-    def test_static_removal_matches_the_complex128_path(self, default_spec, window):
+    def test_range_power_matches_the_complex128_path(self, default_spec, window):
         series = complex64_series(default_spec, 2000, window)
         wide = series_of(series.transfer.astype(complex), default_spec, window=window)
-        expected = to_range_profiles(wide, remove_static=True).mean_power
-        got = to_range_profiles(series, remove_static=True).mean_power
+        expected = to_range_profiles(wide).mean_power
+        got = to_range_profiles(series).mean_power
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * expected.max())
 
     def test_narrowing_keeps_the_precision(self, default_spec):
@@ -252,8 +244,7 @@ class TestSubcarrierSweep:
     @pytest.mark.parametrize("config", [
         ProcessingConfig(),
         ProcessingConfig(averaging_factor=10, window="hann"),
-        ProcessingConfig(remove_static_clutter=True),
-    ], ids=["default", "averaged-hann", "static-removed"])
+    ], ids=["default", "averaged-hann"])
     def test_every_count_bit_identical_to_process_capture(self, two_person_capture,
                                                           default_symbol, config):
         capture = two_person_capture
@@ -378,7 +369,7 @@ def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
     shape = (2000, default_spec.active_count)
     series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                        default_spec, window="hann")
-    profiles = to_range_profiles(series, remove_static=True)
+    profiles = to_range_profiles(series)
     full = series.n_frames * default_spec.samples_per_pulse * 16
     for build in (lambda: series.impulse, lambda: profiles.profiles):
         tracemalloc.start()
@@ -396,8 +387,7 @@ def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_sym
     buffers (up to 384 KiB a call). So
     once a worker's first block has run, no block allocates 128 KiB, glibc's
     default mmap threshold, or more: not the simulator's, not range power's
-    over the 8 sweep bands with the Hann window and static removal (both
-    passes), and not the bin series'."""
+    over the 8 sweep bands with the Hann window, and not the bin series'."""
     peaks = []
 
     def probing(n_frames, block):  # serial, one traced peak per block
@@ -420,7 +410,7 @@ def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_sym
                                    n_frames=4 * _CHUNK_FRAMES + 1, rng_seed=3)
         after_first["simulate"], peaks[:] = peaks[1:], []
         series = estimate_channel(capture, default_symbol, window="hann")
-        range_profiles(series, specs, remove_static=True)
+        range_profiles(series, specs)
         after_first["range power"], peaks[:] = peaks[1:], []
         series_at_bins(capture.frames, [series.bin_weights(b) for b in (0, 27, 1250)])
         after_first["bin series"] = peaks[1:]

@@ -21,11 +21,11 @@ from jcvitals.receiver import estimate_channel
 from conftest import make_target
 
 
-def run_chain(spec, symbol, n_frames, window=None, remove_static=False):
+def run_chain(spec, symbol, n_frames, window=None):
     scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
     capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
     series = estimate_channel(capture, symbol, window=window)
-    profiles = to_range_profiles(series, remove_static=remove_static)
+    profiles = to_range_profiles(series)
     at_peak = series.bin_series(int(profiles.mean_power.argmax()))
     return capture.frames, series.transfer, profiles.mean_power, at_peak
 
@@ -49,13 +49,12 @@ def fft_threads(monkeypatch) -> set:
 @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
                                       2 * _CHUNK_FRAMES + 1, 4 * _CHUNK_FRAMES + 1])
 @pytest.mark.parametrize("window", [None, "hann"])
-@pytest.mark.parametrize("remove_static", [False, True])
 def test_worker_count_does_not_change_the_bytes(small_spec, small_symbol, monkeypatch, n_frames,
-                                                window, remove_static):
+                                                window):
     results = {}
     for workers in (1, 2):
         monkeypatch.setattr(channel, "_WORKERS", workers)
-        results[workers] = run_chain(small_spec, small_symbol, n_frames, window, remove_static)
+        results[workers] = run_chain(small_spec, small_symbol, n_frames, window)
     for one, two in zip(results[1], results[2]):
         assert one.dtype == two.dtype and one.shape == two.shape
         assert one.tobytes() == two.tobytes()
@@ -67,13 +66,13 @@ def test_same_bytes_under_frequent_thread_switches(small_spec, small_symbol, mon
     interleave often."""
     n_frames = 6 * _CHUNK_FRAMES + 3
     monkeypatch.setattr(channel, "_WORKERS", 1)
-    expected = [a.tobytes() for a in run_chain(small_spec, small_symbol, n_frames, "hann", True)]
+    expected = [a.tobytes() for a in run_chain(small_spec, small_symbol, n_frames, "hann")]
     monkeypatch.setattr(channel, "_WORKERS", 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            got = run_chain(small_spec, small_symbol, n_frames, "hann", True)
+            got = run_chain(small_spec, small_symbol, n_frames, "hann")
             assert [a.tobytes() for a in got] == expected
     finally:
         sys.setswitchinterval(interval)
