@@ -87,7 +87,7 @@ def range_profiles(
         return []
     p, count, dtype = series.spec.samples_per_pulse, series.spec.active_count, series.dtype
     longest = max(_fast_length(2 * band.spec.active_count - 1) for band in bands)
-    reference = np.tile(series.reference, (_CHUNK_FRAMES, 1))  # read by both workers
+    inverse = np.tile(1.0 / series.reference, (_CHUNK_FRAMES, 1))  # read by both workers
     spectra_size = -(-_CHUNK_FRAMES * p * dtype.itemsize // 16)  # in complex128 elements
     # per worker: one flat complex128 buffer, holding a block's spectra and its band, then
     # each band's grid in turn, and the block's transfer rows
@@ -107,7 +107,7 @@ def range_profiles(
         flat, out = buffers()
         spectra = flat[:spectra_size].view(dtype)[: (stop - start) * p].reshape(-1, p)
         band = flat[spectra_size : spectra_size + (stop - start) * count].reshape(-1, count)
-        transfer = series.quotient(start, stop, (spectra, band, reference, out))
+        transfer = series.quotient(start, stop, (spectra, band, inverse, out))
         powers = []  # the spectra are spent: each band's grid reuses their memory
         for columns, m, taps in plans:
             z = flat[: (stop - start) * m].reshape(stop - start, m)

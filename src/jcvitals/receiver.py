@@ -8,8 +8,8 @@ computed from them in blocks of ``_CHUNK_FRAMES`` frames:
 
 - ``quotient``: one fast-time FFT of a block in the capture's own precision
   (JCV1 stores complex64), gathered from the band's two strided slices,
-  divided by the reference in complex128 and rounded once back to that
-  precision: the block's rows of the transfer. It is the one definition:
+  multiplied by the reference's reciprocal in complex128 and rounded once
+  back to that precision: the block's rows of the transfer. It is the one definition:
   ``transfer``, ``impulse`` and ``ranging.range_profiles`` (range power, all
   bands of a sweep from one FFT per frame) call it, range power with each
   worker's reused buffers.
@@ -76,27 +76,29 @@ class ChannelFrameSeries:
 
     def quotient(self, start: int, stop: int, buffers: tuple | None = None) -> np.ndarray:
         """Rows ``start:stop`` of the transfer: one FFT of those frames, the
-        band gathered from it by two strided slices, divided by the reference
-        in complex128 and rounded once to the capture's precision. ``buffers``
-        (the FFT's spectra, P columns of ``dtype``; the band, A columns of
-        complex128; the reference repeated on each row; the rows, A columns of
-        ``dtype``), each of at least ``stop - start`` rows, take the work in
-        place of new arrays."""
+        band gathered from it by two strided slices, multiplied by the
+        reference's reciprocal in complex128 and rounded once to the capture's
+        precision. ``buffers`` (the FFT's spectra, P columns of ``dtype``; the
+        band, A columns of complex128; ``1 / reference`` repeated on each row;
+        the rows, A columns of ``dtype``), each of at least ``stop - start``
+        rows, take the work in place of new arrays."""
         rows = stop - start
         if buffers is None:
             p, count = self.spec.samples_per_pulse, self.spec.active_count
             buffers = (np.empty((rows, p), dtype=self.dtype),
                        np.empty((rows, count), dtype=complex),
-                       np.tile(self.reference, (rows, 1)),
+                       np.tile(1.0 / self.reference, (rows, 1)),
                        np.empty((rows, count), dtype=self.dtype))
-        spectra, band, reference, out = (buffer[:rows] for buffer in buffers)
+        spectra, band, inverse, out = (buffer[:rows] for buffer in buffers)
         np.fft.fft(self.frames[start:stop], axis=1, norm="ortho", out=spectra)
         split, below, above = _band_slices(self.spec)
         band[:, :split] = spectra[:, below]
         band[:, split:] = spectra[:, above]
         # one operation on same-shape contiguous operands: numpy would buffer a broadcast
-        # reference (up to 384 KiB a call), and a row at a time costs one call per row
-        np.divide(band, reference, out=band)
+        # reciprocal (up to 384 KiB a call), and a row at a time costs one call per row; a
+        # product is cheaper than a complex division. Then one rounding, by assignment:
+        # multiplying straight into ``out`` would make numpy buffer the cast
+        np.multiply(band, inverse, out=band)
         out[...] = band
         return out
 

@@ -209,6 +209,19 @@ class TestComplex64Transfer:
         got = to_range_profiles(series).mean_power
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * expected.max())
 
+    def test_transfer_is_the_complex128_quotient_rounded_once(self, default_spec):
+        # the FFT in the frames' complex64, the quotient in complex128, one
+        # rounding to complex64: within 1 ulp of each float32 component
+        series = complex64_series(default_spec, 2 * _CHUNK_FRAMES + 3)
+        spectra = np.fft.fft(series.frames, norm="ortho")
+        assert spectra.dtype == np.complex64
+        bins = default_spec.active_bins % default_spec.samples_per_pulse
+        expected = (spectra[:, bins] / series.reference).astype(np.complex64, order="C")
+        got = series.transfer
+        assert got.dtype == np.complex64
+        np.testing.assert_array_max_ulp(got.view(np.float32), expected.view(np.float32),
+                                        maxulp=1)
+
     def test_narrowing_keeps_the_precision(self, default_spec):
         series = complex64_series(default_spec, 3)
         narrow = series.narrowed(select_subcarriers(default_spec, 40))
