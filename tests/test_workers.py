@@ -15,19 +15,23 @@ import pytest
 
 from jcvitals import channel
 from jcvitals.channel import _CHUNK_FRAMES, Scene, simulate_capture
-from jcvitals.ranging import to_range_profiles
+from jcvitals.ranging import range_profiles, to_range_profiles
 from jcvitals.receiver import estimate_channel
+from jcvitals.waveform import select_subcarriers
 
 from conftest import make_target
 
 
-def run_chain(spec, symbol, n_frames, window=None):
+def run_chain(spec, symbol, n_frames, window=None, sweep=False):
+    """The frames, transfer, range power and peak bin series; with ``sweep``,
+    also the range power of two narrower nested bands from the same pass."""
     scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
     capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
     series = estimate_channel(capture, symbol, window=window)
-    profiles = to_range_profiles(series)
-    at_peak = series.bin_series(int(profiles.mean_power.argmax()))
-    return capture.frames, series.transfer, profiles.mean_power, at_peak
+    counts = [spec.active_count] + ([spec.active_count // 2, 7] if sweep else [])
+    bands = range_profiles(series, [select_subcarriers(spec, count) for count in counts])
+    at_peak = series.bin_series(int(bands[0].mean_power.argmax()))
+    return (capture.frames, series.transfer, *(band.mean_power for band in bands), at_peak)
 
 
 def fft_threads(monkeypatch) -> set:
@@ -49,12 +53,14 @@ def fft_threads(monkeypatch) -> set:
 @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
                                       2 * _CHUNK_FRAMES + 1, 4 * _CHUNK_FRAMES + 1])
 @pytest.mark.parametrize("window", [None, "hann"])
+@pytest.mark.parametrize("sweep", [False, True], ids=["one-band", "sweep"])
 def test_worker_count_does_not_change_the_bytes(small_spec, small_symbol, monkeypatch, n_frames,
-                                                window):
+                                                window, sweep):
     results = {}
     for workers in (1, 2):
         monkeypatch.setattr(channel, "_WORKERS", workers)
-        results[workers] = run_chain(small_spec, small_symbol, n_frames, window)
+        results[workers] = run_chain(small_spec, small_symbol, n_frames, window, sweep)
+    assert len(results[1]) == len(results[2]) == (6 if sweep else 4)
     for one, two in zip(results[1], results[2]):
         assert one.dtype == two.dtype and one.shape == two.shape
         assert one.tobytes() == two.tobytes()
