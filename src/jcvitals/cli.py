@@ -62,11 +62,15 @@ def _write_manifest(path: Path, scenario: Scenario | None, command: str, extra: 
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _simulate(scenario: Scenario):
+def _simulate(scenario: Scenario, counts: tuple | list = ()):
     """The scenario's capture and scene. A scenario that passes the schema but
-    that the waveform, scene or simulator rejects is still a config error."""
+    that the waveform, scene or simulator rejects is still a config error, as
+    is a subcarrier count outside the waveform's, found before simulating."""
     try:
         spec = scenario.waveform_spec()
+        for count in counts:
+            if not 1 <= count <= spec.num_subcarriers:
+                raise ConfigError(f"subcarrier count {count} outside [1, {spec.num_subcarriers}]")
         symbol = build_waveform(spec)
         scene = scenario.build_scene()
         capture = simulate_capture(
@@ -181,11 +185,8 @@ def _counts(text: str) -> list:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args)
     counts = args.counts or scenario.subcarrier_counts
-    capture, _ = _simulate(scenario)
+    capture, _ = _simulate(scenario, counts)
     spec = capture.spec
-    for count in counts:
-        if not 1 <= count <= spec.num_subcarriers:
-            raise ConfigError(f"subcarrier count {count} outside [1, {spec.num_subcarriers}]")
     results = process_with_subcarriers(capture, counts, config=scenario.processing_config())
 
     per_count = {}

@@ -135,7 +135,6 @@ SCENARIO_SCHEMA = {
                 "confidence_threshold": {"type": "number", "minimum": 0.0, "maximum": 1.0},
                 "harmonic_tolerance_hz": {"type": "number", "minimum": 0.0},
                 "min_duration_s": {"type": "number", "minimum": 0.0},
-                "window": {"enum": [None, "hann"]},
                 "max_targets": {"type": "integer", "minimum": 1},
                 "min_prominence_db": {"type": "number"},
                 "max_below_peak_db": {"type": "number"},

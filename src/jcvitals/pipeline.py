@@ -23,7 +23,6 @@ class ProcessingConfig:
 
     cable_offset_m: float = 0.0
     averaging_factor: int = 1
-    window: str | None = None
     max_targets: int = 4
     min_prominence_db: float = 10.0
     max_below_peak_db: float = 10.0
@@ -102,7 +101,7 @@ def process_with_subcarriers(
         return {}
     capture = average_slow_time(capture, config.averaging_factor)
     widest = max(specs.values(), key=lambda spec: spec.active_count)
-    series = estimate_channel(capture._relabelled(spec=widest), symbol, window=config.window)
+    series = estimate_channel(capture._relabelled(spec=widest), symbol)
     # pass 1: every count's range power, each frame transformed once
     profiles = range_profiles(series, list(specs.values()), config.cable_offset_m)
     detections = [

@@ -100,7 +100,7 @@ def range_profiles(
         lo = int(band.spec.active_indices[0] - series.spec.active_indices[0])
         columns = slice(lo, lo + band.spec.active_count)
         # complex128 taps on the complex128 grid: float64 taps take numpy's slower mixed-type loop
-        taps = None if band.window is None else band._taps().astype(complex)
+        taps = band._taps().astype(complex)
         plans.append((columns, _fast_length(2 * band.spec.active_count - 1), taps))
 
     def block(start, stop):
@@ -114,9 +114,8 @@ def range_profiles(
             width = columns.stop - columns.start
             z[:, width:] = 0.0
             z[:, :width] = transfer[:, columns]
-            if taps is not None:  # a row at a time: numpy buffers a broadcast 2-D operand
-                for row in z[:, :width]:
-                    row *= taps
+            for row in z[:, :width]:  # a row at a time: numpy buffers a broadcast 2-D operand
+                row *= taps
             powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
         return powers
 

@@ -2,7 +2,7 @@
 derived from it, and coherent slow-time averaging of the raw frames.
 
 The channel estimate is a view of the capture: its frames (not copied), the
-reference symbol on the band, the spec and the window. No N x A transfer is
+reference symbol on the band and the spec. No N x A transfer is
 stored. Every quantity the receive chain reads is linear in the frames and is
 computed from them in blocks of ``_CHUNK_FRAMES`` frames:
 
@@ -49,7 +49,7 @@ class ChannelFrameSeries:
     The transfer (N x A) is each frame's spectrum on the active band divided
     by ``reference``, at the capture's precision (complex64 for simulated and
     read captures). The impulse response h (N x P) is the inverse DFT of each
-    transfer row, tapered by ``window`` and embedded at the active-band grid
+    transfer row, tapered by ``_taps`` and embedded at the active-band grid
     positions (zero-filled elsewhere). Both are computed from the frames when
     read: ``bin_series`` gives one column of h, and ``transfer`` and
     ``impulse`` build the whole matrices (uncached). A kept estimate keeps
@@ -60,14 +60,15 @@ class ChannelFrameSeries:
     reference: np.ndarray
     frame_rate_hz: float
     spec: WaveformSpec
-    window: str | None = None
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-    def _taps(self) -> np.ndarray | float:
-        return 1.0 if self.window is None else hann(self.spec.active_count)
+    def _taps(self) -> np.ndarray:
+        """The range taper: Hann, centred on the band, its zeros half a
+        subcarrier outside each edge, so every active subcarrier is weighted."""
+        return hann(self.spec.active_count + 1)[1:]
 
     @property
     def dtype(self) -> np.dtype:
@@ -176,23 +177,14 @@ def series_at_bins(frames: np.ndarray, weights: list) -> list:
     return list(np.ascontiguousarray(series.T))
 
 
-def estimate_channel(
-    capture: SlowFastMatrix,
-    symbol: BasebandSymbol,
-    window: str | None = None,
-) -> ChannelFrameSeries:
+def estimate_channel(capture: SlowFastMatrix, symbol: BasebandSymbol) -> ChannelFrameSeries:
     """The estimate that divides each received spectrum by the transmitted
     one on active bins, as a view of ``capture``: nothing is transformed here.
 
     The reference symbol may occupy a wider band than the capture's spec (the
     subcarrier-reduction studies reprocess a full-band capture with a narrowed
     band); it must cover all active bins of the capture with usable magnitude.
-
-    Optional ``window`` ("hann" or None) tapers the frequency axis before the
-    inverse transform, trading main-lobe width for lower range sidelobes.
     """
-    if window not in (None, "hann"):
-        raise ValueError(f"window must be None or 'hann', not {window!r}")
     spec = capture.spec
     ref = symbol.spec
     if (
@@ -213,7 +205,7 @@ def estimate_channel(
             "waveform/spec mismatch"
         )
     return ChannelFrameSeries(frames=capture.frames, reference=x_active,
-                              frame_rate_hz=capture.frame_rate_hz, spec=spec, window=window)
+                              frame_rate_hz=capture.frame_rate_hz, spec=spec)
 
 
 def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:

@@ -2,7 +2,7 @@
 peak estimation of breathing/heart rates, harmonic-collision detection, and
 displacement reconstruction.
 
-The spectral estimator is a Hann-windowed DFT with 4x zero padding and
+The spectral estimator is a Hann-tapered DFT with 4x zero padding and
 quadratic peak interpolation; a vital is reported absent when its band peak
 does not stand out of the band total (confidence below threshold), mirroring
 blank entries in measurement campaigns rather than guessing.
@@ -225,7 +225,7 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
     """Breathing and heart rate from a phase track.
 
     The track's least-squares line is removed first. Each band is then
-    zero-phase filtered, Hann-windowed, zero-padded and searched
+    zero-phase filtered, Hann-tapered, zero-padded and searched
     for its strongest interpolated peak. The harmonic flag fires when the HR
     peak sits within tolerance of an integer multiple (2..5) of the BR peak
     and a competing HR-band peak of at least half its magnitude exists (that

@@ -147,7 +147,7 @@ def papr_db(symbol: BasebandSymbol) -> float:
 
 
 def hann(n: int) -> np.ndarray:
-    """Periodic Hann window of ``n`` taps, ``[1.0]`` for one: the only window."""
+    """Periodic Hann taper of ``n`` taps, ``[1.0]`` for one: the only taper function."""
     if n <= 1:
         return np.ones(n)
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])

@@ -100,7 +100,7 @@ def capture_of(targets, spec, symbol, *, snr_db=None, duration_s=40.0, frame_rat
     )
 
 
-def series_of(transfer, spec, window=None, frame_rate_hz=50.0) -> ChannelFrameSeries:
+def series_of(transfer, spec, frame_rate_hz=50.0) -> ChannelFrameSeries:
     """A channel estimate whose band quotient is ``transfer`` (N x A): frames
     made by modulating it onto a unit-modulus reference on the band and
     inverse-transforming each row, at the transfer's precision (complex64
@@ -111,5 +111,4 @@ def series_of(transfer, spec, window=None, frame_rate_hz=50.0) -> ChannelFrameSe
     grid[:, spec.active_bins % spec.samples_per_pulse] = transfer * reference
     frames = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
     return ChannelFrameSeries(frames=frames.astype(np.result_type(transfer, np.complex64), copy=False),
-                              reference=reference, frame_rate_hz=frame_rate_hz, spec=spec,
-                              window=window)
+                              reference=reference, frame_rate_hz=frame_rate_hz, spec=spec)

@@ -90,12 +90,12 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_simulate_process_and_report_run_without_scipy(tmp_path):
-    # with a Hann-tapered range profile: breath holds, detrending and the
+    # the Hann-tapered range profile, breath holds, detrending and the
     # target picker, and with harmonic_confusion the alternative-peak picker too
     commands = []
     for scenario_id in ("intermittent_breathing", "harmonic_confusion"):
         scenario = get_scenario(scenario_id)
-        raw = {**scenario.raw, "analysis": {**scenario.raw.get("analysis", {}), "window": "hann"}}
+        raw = scenario.raw
         config, truth, cap, est, table = (
             tmp_path / f"{scenario_id}{suffix}"
             for suffix in (".json", "_truth.jsonl", ".jcv", "_est.jsonl", "_table.txt"))
@@ -261,20 +261,20 @@ class TestProcess:
         assert records[0]["br_bpm"] == pytest.approx(16.0, abs=1.0)
         assert records[0]["hr_bpm"] == pytest.approx(73.0, abs=2.0)
 
-    @pytest.mark.parametrize("analysis", [
-        {"window": "hamming"},
-        {"br_band_hz": [0.5, 0.15]},  # reversed
-        {"br_band_hz": [0.0, 0.5]},  # a non-positive edge
-        {"hr_band_hz": [0.8, 25.0]},  # at the 50 Hz frame rate's Nyquist
+    @pytest.mark.parametrize("analysis, path", [
+        ({"window": "hann"}, "analysis"),  # the range taper is fixed: an unknown key
+        ({"br_band_hz": [0.5, 0.15]}, "analysis/br_band_hz"),  # reversed
+        ({"br_band_hz": [0.0, 0.5]}, "analysis/br_band_hz"),  # a non-positive edge
+        ({"hr_band_hz": [0.8, 25.0]}, "analysis/hr_band_hz"),  # at the 50 Hz frame rate's Nyquist
     ], ids=["window", "reversed", "zero-edge", "nyquist"])
-    def test_analysis_the_chain_rejects_is_config_error(self, tmp_path, capsys, analysis):
+    def test_analysis_the_chain_rejects_is_config_error(self, tmp_path, capsys, analysis, path):
         cap = tmp_path / "cap.jcv"
         run_cli(capsys, "simulate", "--config", str(write_config(tmp_path)), "--output", str(cap))
         config = write_config(tmp_path, "bad.json", analysis={"min_duration_s": 15.0, **analysis})
         code, stdout, stderr = run_cli(capsys, "process", "--capture", str(cap),
                                        "--config", str(config))
         assert code == 1
-        assert f"config error: at analysis/{next(iter(analysis))}" in stderr
+        assert f"config error: at {path}:" in stderr
         assert stdout == ""
 
     def test_truncated_capture_is_data_error(self, tmp_path, capsys):
@@ -442,6 +442,19 @@ class TestSweep:
                                   "--counts", "2048")
         assert code == 1
         assert "2048" in stderr
+
+    @pytest.mark.parametrize("counts", ["0", "10,2000"])
+    def test_count_out_of_range_is_refused_before_simulating(self, tmp_path, capsys,
+                                                            monkeypatch, counts):
+        def simulate(*_args, **_kwargs):
+            raise AssertionError("the capture was simulated before the counts were checked")
+
+        monkeypatch.setattr("jcvitals.cli.simulate_capture", simulate)
+        code, stdout, stderr = run_cli(capsys, "sweep", "--scenario", "three_persons",
+                                       "--counts", counts)
+        assert code == 1
+        assert f"config error: subcarrier count {counts.split(',')[-1]} outside [1, 1024]" in stderr
+        assert stdout == ""
 
 
 class TestReport:

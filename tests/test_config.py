@@ -214,7 +214,6 @@ class TestDefaultsFromDataclasses:
             "confidence_threshold": 0.05,
             "harmonic_tolerance_hz": 0.04,
             "min_duration_s": 10.0,
-            "window": "hann",
             "max_targets": 2,
             "min_prominence_db": 8.0,
             "max_below_peak_db": 12.0,

@@ -16,12 +16,11 @@ def static_target(rest_range_m, n, rate=50.0, reflectivity=0.67):
     return SceneTarget(rest_range_m=rest_range_m, trace=trace, reflectivity=reflectivity)
 
 
-def profiles_for(targets, spec, symbol, *, snr_db=None, n_frames=50, cable=0.0,
-                 window=None, seed=1):
+def profiles_for(targets, spec, symbol, *, snr_db=None, n_frames=50, cable=0.0, seed=1):
     scene = Scene(targets=targets, cable_delay_range_m=cable, snr_db=snr_db)
     capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=seed,
                                frame_rate_hz=50.0)
-    series = estimate_channel(capture, symbol, window=window)
+    series = estimate_channel(capture, symbol)
     return series, to_range_profiles(series, cable_offset_m=cable)
 
 
@@ -120,11 +119,12 @@ class TestDetectTargets:
         det = detect_targets(profiles)[0]
         assert abs(det.range_m - 2.0) <= profiles.bin_width_m
 
-    def test_resolved_above_1p2_resolutions_merged_below_0p8(self, default_spec, default_symbol):
+    def test_resolved_at_2_resolutions_merged_at_1(self, default_spec, default_symbol):
         # breathing sweeps the relative carrier phase over several cycles, so
-        # the slow-time-averaged power profile behaves incoherently
+        # the slow-time-averaged power profile behaves incoherently; the Hann
+        # taper's main lobe resolves two equal returns from 1.5 resolutions on
         res = SPEED_OF_LIGHT / (2 * default_spec.occupied_bandwidth_hz)
-        for factor, expected in ((1.25, 2), (0.75, 1)):
+        for factor, expected in ((2.0, 2), (1.0, 1)):
             a = make_target(rest_range_m=2.0, duration_s=20.0, rng_seed=1)
             b = make_target(rest_range_m=2.0 + factor * res, duration_s=20.0,
                             rng_seed=2, breathing_rate_hz=19 / 60)
@@ -176,7 +176,7 @@ class TestExtractBinSeries:
             extract_bin_series(series, det)
 
     def test_cross_target_leakage_below_minus_40db(self, default_spec):
-        # Hann window over the frequency axis: sidelobes at 3 resolutions
+        # the Hann taper over the frequency axis: sidelobes at 3 resolutions
         # are far below the raw Dirichlet's -19 dB
         res = SPEED_OF_LIGHT / (2 * default_spec.occupied_bandwidth_hz)
         symbol = build_waveform(default_spec)
@@ -186,8 +186,8 @@ class TestExtractBinSeries:
                         heart_amplitude_m=0.0, duration_s=4.0, rng_seed=2)
         cap_a = capture_of([a], default_spec, symbol, duration_s=4.0)
         cap_ab = capture_of([a, b], default_spec, symbol, duration_s=4.0)
-        ser_a = estimate_channel(cap_a, symbol, window="hann")
-        ser_ab = estimate_channel(cap_ab, symbol, window="hann")
+        ser_a = estimate_channel(cap_a, symbol)
+        ser_ab = estimate_channel(cap_ab, symbol)
         det = detect_targets(to_range_profiles(ser_a))[0]
         only_a = extract_bin_series(ser_a, det)
         with_b = extract_bin_series(ser_ab, det)

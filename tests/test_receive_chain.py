@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import get_window
+from scipy.signal.windows import hann
 
 from jcvitals import channel, pipeline, ranging, receiver
 from jcvitals.channel import _CHUNK_FRAMES, Scene, SlowFastMatrix, simulate_capture
@@ -31,9 +31,9 @@ SWEEP_COUNTS = [10, 20, 40, 80, 160, 320, 640, 1024]
 
 
 def full_impulse(series: ChannelFrameSeries) -> np.ndarray:
-    """h by definition: one inverse DFT of the whole zero-filled grid."""
+    """h by definition: one inverse DFT of the whole zero-filled, Hann-tapered grid."""
     spec = series.spec
-    taps = 1.0 if series.window is None else get_window(series.window, spec.active_count)
+    taps = hann(spec.active_count + 2, sym=True)[1:-1]
     grid = np.zeros((series.n_frames, spec.samples_per_pulse), dtype=complex)
     grid[:, spec.active_bins % spec.samples_per_pulse] = series.transfer * taps
     return np.fft.ifft(grid, axis=1)
@@ -44,20 +44,18 @@ class TestStreamedDefinitions:
     @given(
         n_frames=st.integers(1, 3 * _CHUNK_FRAMES + 1),
         count=st.integers(1, 64),
-        window=st.sampled_from([None, "hann"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_frames=_CHUNK_FRAMES - 1, count=64, window=None, seed=0)
-    @example(n_frames=_CHUNK_FRAMES, count=64, window="hann", seed=1)
-    @example(n_frames=2 * _CHUNK_FRAMES + 3, count=33, window="hann", seed=2)
-    def test_power_and_bin_series_match_full_ifft(self, small_spec, n_frames, count, window,
-                                                  seed):
+    @example(n_frames=_CHUNK_FRAMES - 1, count=64, seed=0)
+    @example(n_frames=_CHUNK_FRAMES, count=64, seed=1)
+    @example(n_frames=2 * _CHUNK_FRAMES + 3, count=33, seed=2)
+    def test_power_and_bin_series_match_full_ifft(self, small_spec, n_frames, count, seed):
         spec = select_subcarriers(small_spec, count)
         rng = np.random.default_rng(seed)
         shape = (n_frames, spec.active_count)
         static = 10.0 * (rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1]))
         transfer = static + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        series = series_of(transfer, spec, window=window)
+        series = series_of(transfer, spec)
 
         h = full_impulse(series)
         power = np.mean(np.abs(h) ** 2, axis=0)
@@ -83,17 +81,15 @@ class TestStreamedDefinitions:
         wider=st.integers(0, 4),
         extra=st.integers(0, 8),
         n_frames=st.integers(1, 2 * _CHUNK_FRAMES + 1),
-        window=st.sampled_from([None, "hann"]),
         flat=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(step=1, count=1, wider=0, extra=0, n_frames=3, window="hann", flat=False, seed=0)
-    @example(step=3, count=8, wider=0, extra=0, n_frames=_CHUNK_FRAMES + 1, window="hann",
-             flat=False, seed=1)
-    @example(step=2, count=7, wider=2, extra=8, n_frames=5, window=None, flat=False, seed=2)
-    @example(step=1, count=5, wider=0, extra=0, n_frames=5, window=None, flat=True, seed=3)
-    def test_power_from_lags_where_lags_alias(self, step, count, wider, extra, n_frames, window,
-                                              flat, seed):
+    @example(step=1, count=1, wider=0, extra=0, n_frames=3, flat=False, seed=0)
+    @example(step=3, count=8, wider=0, extra=0, n_frames=_CHUNK_FRAMES + 1, flat=False, seed=1)
+    @example(step=2, count=7, wider=2, extra=8, n_frames=5, flat=False, seed=2)
+    @example(step=1, count=5, wider=0, extra=0, n_frames=5, flat=True, seed=3)
+    def test_power_from_lags_where_lags_alias(self, step, count, wider, extra, n_frames, flat,
+                                              seed):
         """P runs from the subcarrier span up to 8 bins over it, so the 2A-1
         lags collide on the P-grid whenever 2A-1 > P/g. ``flat`` rows are one
         scalar times a flat band: their power has exact nulls, which rounding
@@ -109,7 +105,7 @@ class TestStreamedDefinitions:
         else:
             shape = (n_frames, count)
             transfer = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        series = series_of(transfer, spec, window=window)
+        series = series_of(transfer, spec)
 
         h = full_impulse(series)
         power = np.mean(np.abs(h) ** 2, axis=0)
@@ -134,8 +130,7 @@ class TestBinSeriesFromFrames:
     the band quotient."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("window", [None, "hann"])
-    def test_matches_the_transfer_domain_definition(self, monkeypatch, window, workers):
+    def test_matches_the_transfer_domain_definition(self, monkeypatch, workers):
         monkeypatch.setattr(channel, "_WORKERS", workers)
         # grid step 3: 24 of 40 subcarriers on a 130-sample pulse, then narrowed to 9
         spec = select_subcarriers(WaveformSpec(num_subcarriers=40, samples_per_pulse=130,
@@ -143,7 +138,7 @@ class TestBinSeriesFromFrames:
         rng = np.random.default_rng(4)
         shape = (2 * _CHUNK_FRAMES + 5, spec.active_count)
         transfer = 5.0 + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        wide = series_of(transfer, spec, window=window)
+        wide = series_of(transfer, spec)
         for series in (wide, wide.narrowed(select_subcarriers(spec, 9))):
             assert series.spec.grid_step == 3
             h = full_impulse(series)
@@ -152,12 +147,11 @@ class TestBinSeriesFromFrames:
                 np.testing.assert_allclose(series.bin_series(b), h[:, b], rtol=1e-12,
                                            atol=1e-12 * peak)
 
-    @pytest.mark.parametrize("window", [None, "hann"])
-    def test_same_bytes_on_one_and_two_workers(self, small_spec, monkeypatch, window):
+    def test_same_bytes_on_one_and_two_workers(self, small_spec, monkeypatch):
         rng = np.random.default_rng(5)
         shape = (4 * _CHUNK_FRAMES + 1, small_spec.active_count)
         series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                           small_spec, window=window)
+                           small_spec)
         narrow = series.narrowed(select_subcarriers(small_spec, 21))
         got = []
         for workers in (1, 2):
@@ -166,13 +160,13 @@ class TestBinSeriesFromFrames:
         assert got[0] == got[1]
 
 
-def complex64_series(spec: WaveformSpec, n_frames: int, window=None) -> ChannelFrameSeries:
+def complex64_series(spec: WaveformSpec, n_frames: int) -> ChannelFrameSeries:
     """Complex64 frames of a transfer with a static part 100 times its moving part."""
     rng = np.random.default_rng(3)
     shape = (n_frames, spec.active_count)
     static = 100.0 * np.exp(2j * np.pi * rng.random(shape[1]))
     transfer = static + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return series_of(transfer.astype(np.complex64), spec, window=window)
+    return series_of(transfer.astype(np.complex64), spec)
 
 
 class TestComplex64Transfer:
@@ -180,9 +174,8 @@ class TestComplex64Transfer:
     complex128 one block at a time: the same values as their complex128 copy,
     without holding that copy."""
 
-    @pytest.mark.parametrize("window", [None, "hann"])
-    def test_bin_series_equals_the_complex128_series(self, default_spec, window):
-        series = complex64_series(default_spec, 2 * _CHUNK_FRAMES + 3, window)
+    def test_bin_series_equals_the_complex128_series(self, default_spec):
+        series = complex64_series(default_spec, 2 * _CHUNK_FRAMES + 3)
         wide = replace(series, frames=series.frames.astype(complex))
         for b in (0, 1, 27, 1250, default_spec.samples_per_pulse - 1):
             got = series.bin_series(b)
@@ -201,10 +194,9 @@ class TestComplex64Transfer:
             tracemalloc.stop()
         assert peak < 0.05 * series.transfer.nbytes
 
-    @pytest.mark.parametrize("window", [None, "hann"])
-    def test_range_power_matches_the_complex128_path(self, default_spec, window):
-        series = complex64_series(default_spec, 2000, window)
-        wide = series_of(series.transfer.astype(complex), default_spec, window=window)
+    def test_range_power_matches_the_complex128_path(self, default_spec):
+        series = complex64_series(default_spec, 2000)
+        wide = series_of(series.transfer.astype(complex), default_spec)
         expected = to_range_profiles(wide).mean_power
         got = to_range_profiles(series).mean_power
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * expected.max())
@@ -256,8 +248,8 @@ def two_person_capture(default_spec, default_symbol):
 class TestSubcarrierSweep:
     @pytest.mark.parametrize("config", [
         ProcessingConfig(),
-        ProcessingConfig(averaging_factor=10, window="hann"),
-    ], ids=["default", "averaged-hann"])
+        ProcessingConfig(averaging_factor=10),
+    ], ids=["default", "averaged"])
     def test_every_count_bit_identical_to_process_capture(self, two_person_capture,
                                                           default_symbol, config):
         capture = two_person_capture
@@ -381,7 +373,7 @@ def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
     rng = np.random.default_rng(0)
     shape = (2000, default_spec.active_count)
     series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                       default_spec, window="hann")
+                       default_spec)
     profiles = to_range_profiles(series)
     full = series.n_frames * default_spec.samples_per_pulse * 16
     for build in (lambda: series.impulse, lambda: profiles.profiles):
@@ -400,7 +392,7 @@ def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_sym
     buffers (up to 384 KiB a call). So
     once a worker's first block has run, no block allocates 128 KiB, glibc's
     default mmap threshold, or more: not the simulator's, not range power's
-    over the 8 sweep bands with the Hann window, and not the bin series'."""
+    over the 8 sweep bands, and not the bin series'."""
     peaks = []
 
     def probing(n_frames, block):  # serial, one traced peak per block
@@ -422,7 +414,7 @@ def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_sym
         capture = simulate_capture(scene, default_symbol, default_spec,
                                    n_frames=4 * _CHUNK_FRAMES + 1, rng_seed=3)
         after_first["simulate"], peaks[:] = peaks[1:], []
-        series = estimate_channel(capture, default_symbol, window="hann")
+        series = estimate_channel(capture, default_symbol)
         range_profiles(series, specs)
         after_first["range power"], peaks[:] = peaks[1:], []
         series_at_bins(capture.frames, [series.bin_weights(b) for b in (0, 27, 1250)])

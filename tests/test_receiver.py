@@ -29,9 +29,9 @@ class TestEstimateChannel:
         assert np.allclose(series.transfer, 1.0, atol=1e-12)
         peak = np.abs(series.impulse[0]).argmax()
         assert peak == 0
-        # all energy at delay zero: |h[0]| = A/P
+        # all energy at delay zero: |h[0]| = sum of the taps / P = (A + 1) / (2P)
         assert np.abs(series.impulse[0, 0]) == pytest.approx(
-            small_spec.active_count / small_spec.samples_per_pulse, rel=1e-9
+            (small_spec.active_count + 1) / (2 * small_spec.samples_per_pulse), rel=1e-9
         )
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])

@@ -1,25 +1,35 @@
 """The numpy routines of the package against the scipy routines they stand for.
 
 The package runs on numpy alone; scipy is a test dependency, used here as the
-reference each local routine must reproduce: the Hann window, the fast FFT
-length, the linear detrend, both peak pickers and the breath-hold distance.
+reference each local routine must reproduce: the Hann window and the range
+taper built from it, the fast FFT length, the linear detrend, both peak
+pickers and the breath-hold distance.
 """
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.ndimage import distance_transform_edt
 from scipy.signal import detrend, find_peaks, get_window
+from scipy.signal.windows import hann as scipy_hann
 
 from jcvitals.physio import _breath_gate
 from jcvitals.ranging import RangeProfileSeries, _fast_length, detect_targets
+from jcvitals.receiver import ChannelFrameSeries
 from jcvitals.vitals import _alternative_peak, _BandPeak, _detrended
-from jcvitals.waveform import hann
+from jcvitals.waveform import WaveformSpec, hann, select_subcarriers
 
 
 def test_hann_is_scipy_periodic_hann_bit_for_bit():
     for n in range(1, 4097):
         assert hann(n).tobytes() == get_window("hann", n).tobytes(), n
     assert hann(1).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("count", [1, 2, 10, 1024])
+def test_range_taper_is_scipy_symmetric_hann_bit_for_bit_without_its_zero_ends(count):
+    series = ChannelFrameSeries(frames=None, reference=None, frame_rate_hz=50.0,
+                                spec=select_subcarriers(WaveformSpec(), count))
+    assert series._taps().tobytes() == scipy_hann(count + 2, sym=True)[1:-1].tobytes()
 
 
 def test_fast_length_is_next_fast_len():

@@ -9,6 +9,7 @@ reaches the caller with no thread left behind.
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from jcvitals.waveform import select_subcarriers
 from conftest import make_target
 
 
-def run_chain(spec, symbol, n_frames, window=None, sweep=False):
-    """The frames, transfer, range power and peak bin series; with ``sweep``,
+def run_chain(spec, symbol, n_frames, dtype=np.complex64, sweep=False):
+    """The frames, transfer, range power and peak bin series of frames of
+    ``dtype`` (complex64 as simulated, complex128 as averaged); with ``sweep``,
     also the range power of two narrower nested bands from the same pass."""
     scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
     capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
-    series = estimate_channel(capture, symbol, window=window)
+    capture = replace(capture, frames=capture.frames.astype(dtype, copy=False))
+    series = estimate_channel(capture, symbol)
     counts = [spec.active_count] + ([spec.active_count // 2, 7] if sweep else [])
     bands = range_profiles(series, [select_subcarriers(spec, count) for count in counts])
     at_peak = series.bin_series(int(bands[0].mean_power.argmax()))
@@ -52,14 +55,14 @@ def fft_threads(monkeypatch) -> set:
 # power sum taken per worker and then added would round differently
 @pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
                                       2 * _CHUNK_FRAMES + 1, 4 * _CHUNK_FRAMES + 1])
-@pytest.mark.parametrize("window", [None, "hann"])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128], ids=["complex64", "complex128"])
 @pytest.mark.parametrize("sweep", [False, True], ids=["one-band", "sweep"])
 def test_worker_count_does_not_change_the_bytes(small_spec, small_symbol, monkeypatch, n_frames,
-                                                window, sweep):
+                                                dtype, sweep):
     results = {}
     for workers in (1, 2):
         monkeypatch.setattr(channel, "_WORKERS", workers)
-        results[workers] = run_chain(small_spec, small_symbol, n_frames, window, sweep)
+        results[workers] = run_chain(small_spec, small_symbol, n_frames, dtype, sweep)
     assert len(results[1]) == len(results[2]) == (6 if sweep else 4)
     for one, two in zip(results[1], results[2]):
         assert one.dtype == two.dtype and one.shape == two.shape
@@ -72,13 +75,13 @@ def test_same_bytes_under_frequent_thread_switches(small_spec, small_symbol, mon
     interleave often."""
     n_frames = 6 * _CHUNK_FRAMES + 3
     monkeypatch.setattr(channel, "_WORKERS", 1)
-    expected = [a.tobytes() for a in run_chain(small_spec, small_symbol, n_frames, "hann")]
+    expected = [a.tobytes() for a in run_chain(small_spec, small_symbol, n_frames)]
     monkeypatch.setattr(channel, "_WORKERS", 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            got = run_chain(small_spec, small_symbol, n_frames, "hann")
+            got = run_chain(small_spec, small_symbol, n_frames)
             assert [a.tobytes() for a in got] == expected
     finally:
         sys.setswitchinterval(interval)
