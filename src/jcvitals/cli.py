@@ -174,12 +174,15 @@ def cmd_process(args) -> int:
 
 
 def _counts(text: str) -> list:
-    """``--counts``: a malformed list is a usage error, raised by argparse."""
+    """``--counts``: a malformed or repeating list is a usage error, raised by argparse."""
     try:
-        return [int(c) for c in text.split(",")]
+        counts = [int(c) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of integers: {text!r}") from None
+    if len(set(counts)) < len(counts):
+        raise argparse.ArgumentTypeError(f"a subcarrier count is repeated: {text!r}")
+    return counts
 
 
 def cmd_sweep(args) -> int:

@@ -140,6 +140,7 @@ SCENARIO_SCHEMA = {
                 "max_below_peak_db": {"type": "number"},
                 "subcarrier_counts": {
                     "type": "array", "items": {"type": "integer", "minimum": 1},
+                    "uniqueItems": True,
                 },
             },
         },

@@ -1,10 +1,9 @@
 """Range calibration of the impulse response and per-target peak selection.
 
-Range power is read from the frames through the channel estimate's block
-quotients, every band of a subcarrier sweep in one pass; no N x A transfer or
-N x P impulse response is held. Each worker reuses one buffer for a block's
-transfer rows and one flat complex128 buffer, which holds the block's spectra
-and band and then each band's lag grid in turn, so a block allocates only its
+Range power is read from the frames, every band of a subcarrier sweep in one
+pass; no N x A transfer or N x P impulse response is held. Each worker
+reuses one buffer for a block's spectra, at the frames' precision, and one
+complex128 buffer for each band's grid in turn, so a block allocates only its
 power sums once the first has run."""
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _CHUNK_FRAMES, _per_worker, _split_blocks
+from .channel import _CHUNK_FRAMES, _band_slices, _per_worker, _split_blocks
 from .constants import SPEED_OF_LIGHT
 from .receiver import ChannelFrameSeries
 
@@ -71,10 +70,11 @@ def range_profiles(
     With active bins b0 + g*a (a < A, grid step g) and z_n row n of the
     tapered transfer, Wiener-Khinchin gives
     mean_power[k] = 1/(N P^2) sum_{|d|<A} R[d] exp(2 pi i g d k / P),
-    R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. Each block of the
-    transfer (``series.quotient``) gives each band its columns, which go into
-    columns 0..A-1 of a zero-filled m-point grid, m the smallest 11-smooth
-    length >= 2A-1, and are inverse-transformed in complex128. Their |.|^2,
+    R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. One FFT of each
+    block's frames gives every band its bins, gathered into columns 0..A-1 of
+    a zero-filled complex128 m-point grid, m the smallest 11-smooth length
+    >= 2A-1, multiplied by the band's weights (``_band_weights``: taps over
+    reference) and inverse-transformed. Their |.|^2,
     summed in frame order, is the m-point DFT of R with the lags taken mod m:
     exact, since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is
     added into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one
@@ -85,37 +85,29 @@ def range_profiles(
     bands = [series.narrowed(spec) for spec in specs]  # raises unless each is nested
     if not bands:
         return []
-    p, count, dtype = series.spec.samples_per_pulse, series.spec.active_count, series.dtype
-    longest = max(_fast_length(2 * band.spec.active_count - 1) for band in bands)
-    inverse = np.tile(1.0 / series.reference, (_CHUNK_FRAMES, 1))  # read by both workers
-    spectra_size = -(-_CHUNK_FRAMES * p * dtype.itemsize // 16)  # in complex128 elements
-    # per worker: one flat complex128 buffer, holding a block's spectra and its band, then
-    # each band's grid in turn, and the block's transfer rows
-    flat_size = max(_CHUNK_FRAMES * longest, spectra_size + _CHUNK_FRAMES * count)
-    buffers = _per_worker(lambda: (np.empty(flat_size, dtype=complex),
-                                   np.empty((_CHUNK_FRAMES, count), dtype=dtype)))
-
-    plans = []  # per band: its columns of the transfer, grid length and taps
+    plans = []  # per band: its two slices of the spectra, width, grid length and weights
     for band in bands:
-        lo = int(band.spec.active_indices[0] - series.spec.active_indices[0])
-        columns = slice(lo, lo + band.spec.active_count)
-        # complex128 taps on the complex128 grid: float64 taps take numpy's slower mixed-type loop
-        taps = band._taps().astype(complex)
-        plans.append((columns, _fast_length(2 * band.spec.active_count - 1), taps))
+        count = band.spec.active_count
+        plans.append((*_band_slices(band.spec), count, _fast_length(2 * count - 1),
+                      band._band_weights()))
+    p, longest = series.spec.samples_per_pulse, max(m for *_, m, _ in plans)
+    # per worker: a block's spectra at the frames' precision, and one complex128 buffer
+    # holding each band's grid in turn
+    buffers = _per_worker(lambda: (np.empty((_CHUNK_FRAMES, p), dtype=series.dtype),
+                                   np.empty(_CHUNK_FRAMES * longest, dtype=complex)))
 
     def block(start, stop):
-        flat, out = buffers()
-        spectra = flat[:spectra_size].view(dtype)[: (stop - start) * p].reshape(-1, p)
-        band = flat[spectra_size : spectra_size + (stop - start) * count].reshape(-1, count)
-        transfer = series.quotient(start, stop, (spectra, band, inverse, out))
-        powers = []  # the spectra are spent: each band's grid reuses their memory
-        for columns, m, taps in plans:
-            z = flat[: (stop - start) * m].reshape(stop - start, m)
-            width = columns.stop - columns.start
-            z[:, width:] = 0.0
-            z[:, :width] = transfer[:, columns]
-            for row in z[:, :width]:  # a row at a time: numpy buffers a broadcast 2-D operand
-                row *= taps
+        spectra, flat = buffers()
+        rows = stop - start
+        spectra = np.fft.fft(series.frames[start:stop], axis=1, norm="ortho", out=spectra[:rows])
+        powers = []
+        for split, below, above, count, m, weights in plans:
+            z = flat[: rows * m].reshape(rows, m)
+            z[:, :split] = spectra[:, below]
+            z[:, split:count] = spectra[:, above]
+            z[:, count:] = 0.0
+            for row in z[:, :count]:  # a row at a time: numpy buffers a broadcast 2-D operand
+                row *= weights
             powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
         return powers
 

@@ -2,21 +2,17 @@
 derived from it, and coherent slow-time averaging of the raw frames.
 
 The channel estimate is a view of the capture: its frames (not copied), the
-reference symbol on the band and the spec. No N x A transfer is
-stored. Every quantity the receive chain reads is linear in the frames and is
+reference symbol on the band and the spec. No N x A transfer is stored.
+Every quantity the receive chain reads is linear in the frames, through one
+weight per subcarrier, ``_band_weights()`` = taps / reference, and is
 computed from them in blocks of ``_CHUNK_FRAMES`` frames:
 
-- ``quotient``: one fast-time FFT of a block in the capture's own precision
-  (JCV1 stores complex64), gathered from the band's two strided slices,
-  multiplied by the reference's reciprocal in complex128 and rounded once
-  back to that precision: the block's rows of the transfer. It is the one definition:
-  ``transfer``, ``impulse`` and ``ranging.range_profiles`` (range power, all
-  bands of a sweep from one FFT per frame) call it, range power with each
-  worker's reused buffers.
-- ``series_at_bins``: the impulse response at one range bin is a fixed linear
-  functional of the raw frame, so each bin's series is one complex128 dot
-  product per frame, all bins of all bands in one pass over the frames, each
-  worker upcasting 8 frames at a time into one reused buffer.
+- range power (``ranging.range_profiles``): one FFT of a block in the
+  capture's own precision (JCV1 stores complex64), each band's bins gathered
+  into a complex128 grid and weighted, all bands of a sweep from one FFT.
+- ``series_at_bins``: each bin's series is one complex128 dot product per
+  frame, all bins of all bands in one pass over the frames, each worker
+  upcasting 8 frames at a time into one reused buffer.
 
 ``transfer`` and ``impulse`` build the whole N x A and N x P arrays on access;
 the receive chain never reads them. ``average_slow_time`` writes the averaged
@@ -49,8 +45,8 @@ class ChannelFrameSeries:
     The transfer (N x A) is each frame's spectrum on the active band divided
     by ``reference``, at the capture's precision (complex64 for simulated and
     read captures). The impulse response h (N x P) is the inverse DFT of each
-    transfer row, tapered by ``_taps`` and embedded at the active-band grid
-    positions (zero-filled elsewhere). Both are computed from the frames when
+    frame's band spectrum times ``_band_weights()``, embedded at the band's
+    grid positions (zero-filled elsewhere). Both are computed from the frames when
     read: ``bin_series`` gives one column of h, and ``transfer`` and
     ``impulse`` build the whole matrices (uncached). A kept estimate keeps
     its frames alive: for an averaged capture, the averaged frames.
@@ -70,53 +66,43 @@ class ChannelFrameSeries:
         subcarrier outside each edge, so every active subcarrier is weighted."""
         return hann(self.spec.active_count + 1)[1:]
 
+    def _band_weights(self) -> np.ndarray:
+        """taps / reference (A, complex128): the one definition of the receive
+        chain's linear functional, read by range power, ``impulse`` and ``bin_weights``."""
+        return self._taps() / self.reference
+
     @property
     def dtype(self) -> np.dtype:
         """The precision of the frames' FFT and of the transfer: complex64 for JCV1 frames."""
         return np.result_type(self.frames.dtype, np.complex64)
 
-    def quotient(self, start: int, stop: int, buffers: tuple | None = None) -> np.ndarray:
-        """Rows ``start:stop`` of the transfer: one FFT of those frames, the
-        band gathered from it by two strided slices, multiplied by the
-        reference's reciprocal in complex128 and rounded once to the capture's
-        precision. ``buffers`` (the FFT's spectra, P columns of ``dtype``; the
-        band, A columns of complex128; ``1 / reference`` repeated on each row;
-        the rows, A columns of ``dtype``), each of at least ``stop - start``
-        rows, take the work in place of new arrays."""
-        rows = stop - start
-        if buffers is None:
-            p, count = self.spec.samples_per_pulse, self.spec.active_count
-            buffers = (np.empty((rows, p), dtype=self.dtype),
-                       np.empty((rows, count), dtype=complex),
-                       np.tile(1.0 / self.reference, (rows, 1)),
-                       np.empty((rows, count), dtype=self.dtype))
-        spectra, band, inverse, out = (buffer[:rows] for buffer in buffers)
-        np.fft.fft(self.frames[start:stop], axis=1, norm="ortho", out=spectra)
+    def _band(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the frames' unitary spectra on the band, in
+        complex128: one FFT at the frames' precision, gathered by two strided slices."""
+        spectra = np.fft.fft(self.frames[start:stop], axis=1, norm="ortho")
         split, below, above = _band_slices(self.spec)
+        band = np.empty((stop - start, self.spec.active_count), dtype=complex)
         band[:, :split] = spectra[:, below]
         band[:, split:] = spectra[:, above]
-        # one operation on same-shape contiguous operands: numpy would buffer a broadcast
-        # reciprocal (up to 384 KiB a call), and a row at a time costs one call per row; a
-        # product is cheaper than a complex division. Then one rounding, by assignment:
-        # multiplying straight into ``out`` would make numpy buffer the cast
-        np.multiply(band, inverse, out=band)
-        out[...] = band
-        return out
+        return band
 
     @property
     def transfer(self) -> np.ndarray:
-        """N x A transfer at the capture's precision, built on each access."""
-        return np.concatenate(_split_blocks(self.n_frames, self.quotient))
+        """N x A transfer, built on each access: the band times the reference's
+        reciprocal in complex128, rounded once to the capture's precision."""
+        inverse = 1.0 / self.reference
+        return np.concatenate(_split_blocks(
+            self.n_frames, lambda start, stop: (self._band(start, stop) * inverse).astype(self.dtype)))
 
     @property
     def impulse(self) -> np.ndarray:
         """N x P complex impulse response, built on each access."""
         p = self.spec.samples_per_pulse
         grid = np.zeros((self.n_frames, p), dtype=complex)
-        taps = self._taps()
+        weights = self._band_weights()
 
         def block(start, stop):
-            grid[start:stop, self.spec.active_bins % p] = self.quotient(start, stop) * taps
+            grid[start:stop, self.spec.active_bins % p] = self._band(start, stop) * weights
 
         _split_blocks(self.n_frames, block)
         return np.fft.ifft(grid, axis=1, out=grid)
@@ -124,15 +110,15 @@ class ChannelFrameSeries:
     def bin_weights(self, bin_index: int) -> np.ndarray:
         """The P-point u with ``impulse[n, bin_index] = sum_t u[t] frames[n, t]``.
 
-        h[n, k] = sum_a w[a] S[n, b_a], with S the unitary DFT of frame n and
-        w[a] = taps[a] exp(2 pi i b_a k / P) / (P reference[a]); so u is the
-        unitary forward DFT of w placed at the band's grid positions.
+        h[n, k] = sum_a v[a] S[n, b_a], with S the unitary DFT of frame n and
+        v[a] = w[a] exp(2 pi i b_a k / P) / P, w the band weights; so u is the
+        unitary forward DFT of v placed at the band's grid positions.
         """
         p = self.spec.samples_per_pulse
         bins = self.spec.active_bins % p
         turns = bins * bin_index % p  # exact integer phase
         grid = np.zeros(p, dtype=complex)
-        grid[bins] = np.exp(2j * np.pi * turns / p) / p * self._taps() / self.reference
+        grid[bins] = np.exp(2j * np.pi * turns / p) / p * self._band_weights()
         return np.fft.fft(grid, norm="ortho")
 
     def bin_series(self, bin_index: int) -> np.ndarray:

@@ -43,13 +43,13 @@ def compare_records(
 ) -> list:
     """Match estimate and truth records on (scenario_id, target_id).
 
-    A truth row without an estimate is an error (id mismatch); an estimate
-    whose vital is absent where the truth has one is marked ``missed``.
+    A key repeated among the estimates or among the truths is an error, and so
+    is a truth row without an estimate (id mismatch); an estimate whose vital
+    is absent where the truth has one is marked ``missed``.
     """
-    est_by_key = {(e["scenario_id"], e["target_id"]): e for e in estimates}
+    est_by_key = _by_key(estimates, "estimate")
     rows = []
-    for truth in truths:
-        key = (truth["scenario_id"], truth["target_id"])
+    for key, truth in _by_key(truths, "truth").items():
         if key not in est_by_key:
             raise ValueError(f"no estimate record for scenario/target {key}")
         est = est_by_key.pop(key)
@@ -72,6 +72,17 @@ def compare_records(
     if est_by_key:
         raise ValueError(f"estimate records without ground truth: {sorted(est_by_key)}")
     return rows
+
+
+def _by_key(records: list, kind: str) -> dict:
+    """``records`` keyed on (scenario_id, target_id), in their order."""
+    by_key = {}
+    for record in records:
+        key = (record["scenario_id"], record["target_id"])
+        if key in by_key:
+            raise ValueError(f"duplicate {kind} record for scenario/target {key}")
+        by_key[key] = record
+    return by_key
 
 
 def _fmt(value, width=9):

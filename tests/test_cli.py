@@ -436,6 +436,25 @@ class TestSweep:
         assert "usage error: argument --counts: not a comma-separated list of integers" in stderr
         assert stdout == ""
 
+    def test_repeated_count_is_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def simulate(*_args, **_kwargs):
+            raise AssertionError("the capture was simulated before the counts were checked")
+
+        monkeypatch.setattr("jcvitals.cli.simulate_capture", simulate)
+        code, stdout, stderr = run_cli(capsys, "sweep", "--scenario", "three_persons",
+                                       "--counts", "40,40,1024")
+        assert code == 1
+        assert "usage error: argument --counts: a subcarrier count is repeated" in stderr
+        assert stdout == ""
+
+        config = write_config(tmp_path, analysis={"min_duration_s": 15.0,
+                                                  "subcarrier_counts": [40, 40, 1024]})
+        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 1
+        assert "config error: at analysis/subcarrier_counts:" in stderr
+        assert "non-unique" in stderr
+        assert stdout == ""
+
     def test_count_out_of_range_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code, _, stderr = run_cli(capsys, "sweep", "--config", str(config),
@@ -502,6 +521,20 @@ class TestReport:
         code, _, stderr = run_cli(capsys, "report", "--estimates", str(est),
                                   "--truth", str(truth))
         assert code == 2
+
+    @pytest.mark.parametrize("repeated", ["estimates", "truth"])
+    def test_duplicate_key_is_data_error(self, tmp_path, capsys, repeated):
+        line = json.dumps({"scenario_id": "a", "target_id": 0, "br_bpm": 16.0, "hr_bpm": 73.0})
+        files = {}
+        for name in ("estimates", "truth"):
+            files[name] = tmp_path / f"{name}.jsonl"
+            files[name].write_text((line + "\n") * (2 if name == repeated else 1))
+        code, stdout, stderr = run_cli(capsys, "report", "--estimates", str(files["estimates"]),
+                                       "--truth", str(files["truth"]))
+        assert code == 2
+        kind = "estimate" if repeated == "estimates" else "truth"
+        assert f"data error: duplicate {kind} record for scenario/target ('a', 0)" in stderr
+        assert stdout == ""
 
 
 class TestListScenarios:

@@ -66,6 +66,7 @@ class TestValidation:
         lambda c: c["scene"]["targets"][0]["vitals"].update(typo_hz=1.0, breathing_rate_hz="x"),
         lambda c: c["scene"].pop("targets"),
         lambda c: c["scene"]["targets"].append({"rest_range_m": -1.0, "vitals": {}}),
+        lambda c: c.update(analysis={"subcarrier_counts": [40, 40, 1024]}),
     ])
     def test_error_message_is_the_one_jsonschema_validate_raises(self, edit):
         cfg = minimal_config()

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal.windows import hann
 
-from jcvitals import channel, pipeline, ranging, receiver
+from jcvitals import channel, pipeline, ranging, receiver, scenarios
 from jcvitals.channel import _CHUNK_FRAMES, Scene, SlowFastMatrix, simulate_capture
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.ranging import range_profiles, to_range_profiles
@@ -219,6 +219,36 @@ class TestComplex64Transfer:
         narrow = series.narrowed(select_subcarriers(default_spec, 40))
         assert narrow.transfer.dtype == np.complex64
         assert narrow.transfer.tobytes() == series.transfer[:, 492:532].tobytes()
+
+
+class TestPassesAgree:
+    """Range power (the first pass over the frames) and the bin series (the
+    second) read one linear functional of the frames; on simulated complex64
+    frames, full or narrowed bands, the mean power at each detected bin is
+    the bin series' mean |.|^2."""
+
+    @pytest.mark.parametrize("scenario_id, counts", [
+        ("three_persons", [10, 40, 160, 1024]),
+        ("two_persons", [1024]),
+    ])
+    def test_mean_power_at_each_detection_is_the_series_power(self, scenario_id, counts):
+        scenario = scenarios.get_scenario(scenario_id)
+        spec = scenario.waveform_spec()
+        symbol = build_waveform(spec)
+        capture = simulate_capture(scenario.build_scene(), symbol, spec,
+                                   n_frames=scenario.n_frames, rng_seed=scenario.seed,
+                                   frame_rate_hz=scenario.frame_rate_hz)
+        assert capture.frames.dtype == np.complex64
+        results = process_with_subcarriers(capture, counts, symbol=symbol,
+                                           config=scenario.processing_config())
+        for count, result in results.items():
+            profiles = result.profiles
+            assert profiles.series.spec.active_count == count and result.detections
+            for detection in result.detections:
+                b = detection.bin_index
+                series_power = np.mean(np.abs(profiles.series.bin_series(b)) ** 2)
+                np.testing.assert_allclose(profiles.mean_power[b], series_power, rtol=1e-6,
+                                           err_msg=f"{count} subcarriers, bin {b}")
 
 
 def same_result(a: pipeline.ProcessResult, b: pipeline.ProcessResult) -> bool:

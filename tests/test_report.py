@@ -43,6 +43,19 @@ class TestCompare:
             compare_records([rec("a", 0, 16.0, 73.0), rec("b", 0, 1.0, 2.0)],
                             [rec("a", 0, 16.0, 73.0)])
 
+    def test_duplicate_estimate_rejected(self):
+        # a second estimate for the key used to replace the first, a wrong 10 bpm
+        truth = [rec("a", 0, 16.0, 73.0)]
+        est = [rec("a", 0, 10.0, 73.0), rec("a", 0, 16.0, 73.0)]
+        with pytest.raises(ValueError, match=r"duplicate estimate record .*\('a', 0\)"):
+            compare_records(est, truth)
+
+    def test_duplicate_truth_rejected(self):
+        # the second truth row used to be reported as having no estimate record
+        truth = [rec("a", 0, 16.0, 73.0), rec("a", 0, 16.0, 73.0)]
+        with pytest.raises(ValueError, match=r"duplicate truth record .*\('a', 0\)"):
+            compare_records([rec("a", 0, 16.0, 73.0)], truth)
+
     def test_multi_scenario_matching(self):
         truth = [rec("a", 0, 16.0, 73.0), rec("b", 0, 19.0, 87.0), rec("b", 1, 14.0, 60.0)]
         est = [rec("b", 1, 14.2, 61.0), rec("a", 0, 16.0, 72.5), rec("b", 0, 19.5, 88.0)]

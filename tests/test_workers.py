@@ -25,7 +25,8 @@ from conftest import make_target
 
 def run_chain(spec, symbol, n_frames, dtype=np.complex64, sweep=False):
     """The frames, transfer, range power and peak bin series of frames of
-    ``dtype`` (complex64 as simulated, complex128 as averaged); with ``sweep``,
+    ``dtype`` (complex64 as simulated, read and averaged; complex128 as a
+    library caller may pass them); with ``sweep``,
     also the range power of two narrower nested bands from the same pass."""
     scene = Scene(targets=[make_target(duration_s=2.0)], snr_db=10.0)
     capture = simulate_capture(scene, symbol, spec, n_frames=n_frames, rng_seed=7)
