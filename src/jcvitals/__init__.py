@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .channel import ClutterPoint, Scene, SceneTarget, SlowFastMatrix, max_unambiguous_range, simulate_capture
 from .physio import DisplacementTrace, Segment, VitalParams, synthesize_displacement, walking_trajectory
 from .pipeline import ProcessingConfig, ProcessResult, process_capture, process_with_subcarriers
-from .ranging import RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series, to_range_profiles
+from .ranging import RangeProfileSeries, TargetDetection, detect_targets
 from .receiver import ChannelFrameSeries, average_slow_time, estimate_channel
 from .vitals import (
     PhaseTrack,
@@ -45,7 +45,6 @@ __all__ = [
     "detect_targets",
     "estimate_channel",
     "estimate_vitals",
-    "extract_bin_series",
     "max_unambiguous_range",
     "papr_db",
     "phase_to_displacement",
@@ -56,6 +55,5 @@ __all__ = [
     "simulate_capture",
     "spectral_correlation",
     "synthesize_displacement",
-    "to_range_profiles",
     "walking_trajectory",
 ]

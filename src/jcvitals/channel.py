@@ -26,7 +26,8 @@ with one cumulative product per frame.
 
 Every block loop, here and in the receive chain, is ``_split_blocks``: at
 most ``_WORKERS`` threads, each running one contiguous range of blocks. Each
-worker keeps its block buffers (``_per_worker``). numpy buffers a 2-D strided
+worker makes its block buffers once, from the factory the loop is given, and
+hands them to each of its blocks. numpy buffers a 2-D strided
 or broadcast operand of an arithmetic operation, up to 384 KiB a call, but
 not of an assignment, so the loops gather strided operands by assignment and
 repeat a broadcast one on each row of a block, and a block allocates nothing
@@ -40,7 +41,6 @@ import contextlib
 import math
 import mmap
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -67,33 +67,23 @@ def _worker_count() -> int:
 _WORKERS = _worker_count()
 
 
-def _split_blocks(n_frames: int, block) -> list:
-    """``block(start, stop)`` once per ``_CHUNK_FRAMES`` block of ``[0, n_frames)``, results in
-    frame order. Each of ``_WORKERS`` workers runs one contiguous range of blocks, the first on
-    the caller's thread; the helper gets the rest, and is joined before this returns."""
+def _split_blocks(n_frames: int, block, make=tuple) -> list:
+    """``block(start, stop, *buffers)`` once per ``_CHUNK_FRAMES`` block of ``[0, n_frames)``,
+    results in frame order. Each of ``_WORKERS`` workers runs one contiguous range of blocks,
+    the first on the caller's thread; the helper gets the rest, and is joined before this
+    returns. ``buffers`` is the tuple ``make()`` returns, called once by each worker, so a
+    worker reuses its buffers for all its blocks; with no ``make``, blocks get none."""
     per_worker = -(-n_frames // (_CHUNK_FRAMES * _WORKERS)) * _CHUNK_FRAMES
 
     def run(lo):
         hi = min(lo + per_worker, n_frames)
-        return [block(start, min(start + _CHUNK_FRAMES, hi))
+        buffers = make()
+        return [block(start, min(start + _CHUNK_FRAMES, hi), *buffers)
                 for start in range(lo, hi, _CHUNK_FRAMES)]
 
     with ThreadPoolExecutor(1) as helper:
         later = [helper.submit(run, lo) for lo in range(per_worker, n_frames, per_worker)]
         return run(0) + [r for f in later for r in f.result()]
-
-
-def _per_worker(make):
-    """``buffers()``: what ``make()`` returns, made once in each thread that calls it, so each
-    worker of a block loop reuses its buffers for all its blocks."""
-    local = threading.local()
-
-    def buffers():
-        if not hasattr(local, "made"):
-            local.made = make()
-        return local.made
-
-    return buffers
 
 
 # anonymous maps are private where mmap takes no flags (Windows)
@@ -299,14 +289,9 @@ def simulate_capture(
     # not buffer, and one operation a block, not one a row (each numpy call takes the GIL)
     x_active = np.tile(symbol.freq_domain[spec.active_indices], (_CHUNK_FRAMES, 1))
     frames = _frames_array(n_frames, p)
-    # each worker's grid (a cache-resident grid, not rows of ``frames``: faster to draw
-    # into), band and ramp: ~1.4 MB made afresh per block would go back to the kernel
-    # and be faulted in again, block after block
-    buffers = _per_worker(lambda: tuple(np.empty((_CHUNK_FRAMES, width), dtype=complex)
-                                        for width in (p, spec.active_count, spec.active_count)))
 
-    def block(start, stop):
-        grid, band, ramp = (buffer[: stop - start] for buffer in buffers())
+    def block(start, stop, *buffers):
+        grid, band, ramp = (buffer[: stop - start] for buffer in buffers)
         if sigma is None:
             grid.fill(0.0)
         else:
@@ -333,7 +318,11 @@ def simulate_capture(
         # checked here, while the rows are in cache, not in a second pass over the capture
         _check_finite(frames[start:stop])
 
-    _split_blocks(n_frames, block)
+    # each worker's grid (a cache-resident grid, not rows of ``frames``: faster to draw
+    # into), band and ramp: ~1.4 MB made afresh per block would go back to the kernel
+    # and be faulted in again, block after block
+    _split_blocks(n_frames, block, lambda: tuple(np.empty((_CHUNK_FRAMES, width), dtype=complex)
+                                                 for width in (p, spec.active_count, spec.active_count)))
     return SlowFastMatrix._checked(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
 
 

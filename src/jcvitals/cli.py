@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -236,8 +237,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _rate(value) -> bool:
+    """Whether ``value`` is a record's rate: null, or a number (not a bool) finite as a float."""
+    return value is None or type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _read_records(path) -> list:
-    """One JSON object per non-blank line, each with a scenario_id and a target_id."""
+    """One JSON object per non-blank line, each with a string scenario_id and an integer
+    target_id; its br_bpm and hr_bpm, where present, are null or finite numbers."""
     records = []
     try:
         with open(path) as fh:
@@ -248,10 +255,23 @@ def _read_records(path) -> list:
     except (OSError, json.JSONDecodeError) as exc:
         raise CaptureFormatError(f"{path}: {exc}") from exc
     for number, record in enumerate(records, start=1):
-        if not isinstance(record, dict) or not {"scenario_id", "target_id"} <= record.keys():
+        # type(), not isinstance(): a bool is an int
+        if not (isinstance(record, dict) and isinstance(record.get("scenario_id"), str)
+                and type(record.get("target_id")) is int
+                and _rate(record.get("br_bpm")) and _rate(record.get("hr_bpm"))):
             raise CaptureFormatError(
-                f"{path}: record {number} is not a JSON object with scenario_id and target_id")
+                f"{path}: record {number} is not a JSON object with a string scenario_id, an "
+                "integer target_id, and a br_bpm and hr_bpm each absent, null or a finite number")
     return records
+
+
+def _tolerance(text: str) -> float:
+    """``--br-tolerance`` and ``--hr-tolerance``: one that is not a number, not finite or
+    negative is a usage error, raised by argparse."""
+    tolerance = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 <= tolerance < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite tolerance >= 0: {text!r}")
+    return tolerance
 
 
 def cmd_report(args) -> int:
@@ -306,8 +326,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="accuracy table of estimates vs ground truth")
     p.add_argument("--estimates", required=True, help="estimate records (JSON lines)")
     p.add_argument("--truth", required=True, help="ground-truth records (JSON lines)")
-    p.add_argument("--br-tolerance", type=float, default=1.0)
-    p.add_argument("--hr-tolerance", type=float, default=2.0)
+    p.add_argument("--br-tolerance", type=_tolerance, default=1.0)
+    p.add_argument("--hr-tolerance", type=_tolerance, default=2.0)
     p.add_argument("--output", help="also write the table to this file")
     p.set_defaults(func=cmd_report)
 

@@ -1,19 +1,20 @@
 """Range calibration of the impulse response and per-target peak selection.
 
 Range power is read from the frames, every band of a subcarrier sweep in one
-pass; no N x A transfer or N x P impulse response is held. Each worker
-reuses one buffer for a block's spectra, at the frames' precision, and one
-complex128 buffer for each band's grid in turn, so a block allocates only its
-power sums once the first has run."""
+pass; no N x A transfer or N x P impulse response is held. The pass hands
+``_split_blocks`` the factory of each worker's buffers: one for a block's
+spectra, at the frames' precision, and one complex128 buffer for each band's
+grid in turn, so a block allocates only its power sums once the first has
+run."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _CHUNK_FRAMES, _band_slices, _per_worker, _split_blocks
+from .channel import _CHUNK_FRAMES, _band_slices, _split_blocks
 from .constants import SPEED_OF_LIGHT
-from .receiver import ChannelFrameSeries
+from .receiver import ChannelFrameSeries, series_at_bins
 
 _POWER_FLOOR = 1e-300  # keeps log10 finite on exact zeros
 
@@ -23,8 +24,8 @@ class RangeProfileSeries:
     """Slow-time mean power of the impulse response on a calibrated range axis.
 
     ``mean_power`` (P) is mean |h|^2 per range bin over the frames (from the
-    band's lags). ``profiles`` (N x P |h|) is built on each access; the
-    pipeline never reads it.
+    band's lags); ``series`` is the band's channel estimate, whose ``impulse``
+    gives the N x P response it averages.
     """
 
     range_axis_m: np.ndarray
@@ -32,10 +33,6 @@ class RangeProfileSeries:
     range_resolution_m: float
     bin_width_m: float
     series: ChannelFrameSeries
-
-    @property
-    def profiles(self) -> np.ndarray:
-        return np.abs(self.series.impulse)
 
     def mean_power_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
@@ -91,13 +88,8 @@ def range_profiles(
         plans.append((*_band_slices(band.spec), count, _fast_length(2 * count - 1),
                       band._band_weights()))
     p, longest = series.spec.samples_per_pulse, max(m for *_, m, _ in plans)
-    # per worker: a block's spectra at the frames' precision, and one complex128 buffer
-    # holding each band's grid in turn
-    buffers = _per_worker(lambda: (np.empty((_CHUNK_FRAMES, p), dtype=series.dtype),
-                                   np.empty(_CHUNK_FRAMES * longest, dtype=complex)))
 
-    def block(start, stop):
-        spectra, flat = buffers()
+    def block(start, stop, spectra, flat):
         rows = stop - start
         spectra = np.fft.fft(series.frames[start:stop], axis=1, norm="ortho", out=spectra[:rows])
         powers = []
@@ -111,7 +103,11 @@ def range_profiles(
             powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
         return powers
 
-    blocks = _split_blocks(series.n_frames, block)
+    # each worker's buffers: a block's spectra at the frames' precision, and one complex128
+    # buffer holding each band's grid in turn
+    blocks = _split_blocks(series.n_frames, block,
+                           lambda: (np.empty((_CHUNK_FRAMES, p), dtype=series.dtype),
+                                    np.empty(_CHUNK_FRAMES * longest, dtype=complex)))
     # each band's block sums added in frame order, as one serial pass adds them
     return [_profiles(band, sum(powers[i] for powers in blocks), cable_offset_m)
             for i, band in enumerate(bands)]
@@ -200,4 +196,4 @@ def extract_bin_series(series: ChannelFrameSeries, detection: TargetDetection) -
     """Complex impulse-response value at the detected bin, per frame."""
     if not 0 <= detection.bin_index < series.spec.samples_per_pulse:
         raise ValueError(f"bin_index {detection.bin_index} out of range")
-    return series.bin_series(detection.bin_index)
+    return series_at_bins(series.frames, [series.bin_weights(detection.bin_index)])[0]

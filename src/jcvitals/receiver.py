@@ -12,7 +12,7 @@ computed from them in blocks of ``_CHUNK_FRAMES`` frames:
   into a complex128 grid and weighted, all bands of a sweep from one FFT.
 - ``series_at_bins``: each bin's series is one complex128 dot product per
   frame, all bins of all bands in one pass over the frames, each worker
-  upcasting 8 frames at a time into one reused buffer.
+  upcasting 8 frames at a time into the buffer ``_split_blocks`` hands it.
 
 ``transfer`` and ``impulse`` build the whole N x A and N x P arrays on access;
 the receive chain never reads them. ``average_slow_time`` writes the averaged
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SlowFastMatrix, _band_slices, _frames_array, _per_worker, _split_blocks
+from .channel import SlowFastMatrix, _band_slices, _frames_array, _split_blocks
 from .waveform import BasebandSymbol, WaveformSpec, hann
 
 log = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ class ChannelFrameSeries:
     read captures). The impulse response h (N x P) is the inverse DFT of each
     frame's band spectrum times ``_band_weights()``, embedded at the band's
     grid positions (zero-filled elsewhere). Both are computed from the frames when
-    read: ``bin_series`` gives one column of h, and ``transfer`` and
-    ``impulse`` build the whole matrices (uncached). A kept estimate keeps
+    read: ``series_at_bins`` of ``bin_weights`` gives columns of h, and ``transfer``
+    and ``impulse`` build the whole matrices (uncached). A kept estimate keeps
     its frames alive: for an averaged capture, the averaged frames.
     """
 
@@ -121,10 +121,6 @@ class ChannelFrameSeries:
         grid[bins] = np.exp(2j * np.pi * turns / p) / p * self._band_weights()
         return np.fft.fft(grid, norm="ortho")
 
-    def bin_series(self, bin_index: int) -> np.ndarray:
-        """``impulse[:, bin_index]``: one dot product per frame."""
-        return series_at_bins(self.frames, [self.bin_weights(bin_index)])[0]
-
     def narrowed(self, spec: WaveformSpec) -> ChannelFrameSeries:
         """This estimate restricted to ``spec``'s band, a centred band nested
         in this one: the same frames, a contiguous sub-range of the reference."""
@@ -146,20 +142,18 @@ def series_at_bins(frames: np.ndarray, weights: list) -> list:
     n_frames = frames.shape[0]
     conjugated = np.conj(weights)  # vecdot conjugates its first argument back
     series = np.empty((n_frames, len(weights)), dtype=complex)
-    buffers = _per_worker(lambda: np.empty((_DOT_FRAMES, frames.shape[1]), dtype=complex))
 
     # not ``block @ weights``: that is a BLAS zgemm, whose OpenBLAS threads
     # keep spinning after the call and take the core the next block loop
     # needs; vecdot makes one single-threaded dot per frame and weight
-    def block(start, stop):
-        upcast = buffers()
+    def block(start, stop, upcast):
         for lo in range(start, stop, _DOT_FRAMES):
             hi = min(lo + _DOT_FRAMES, stop)
             rows = upcast[: hi - lo]
             rows[...] = frames[lo:hi]
             np.vecdot(conjugated, rows[:, None, :], out=series[lo:hi])
 
-    _split_blocks(n_frames, block)
+    _split_blocks(n_frames, block, lambda: (np.empty((_DOT_FRAMES, frames.shape[1]), dtype=complex),))
     return list(np.ascontiguousarray(series.T))
 
 

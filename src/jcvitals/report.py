@@ -1,6 +1,7 @@
 """Accuracy tables: estimated vs ground-truth rates per scenario/target."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 OK = "ok"
@@ -45,8 +46,12 @@ def compare_records(
 
     A key repeated among the estimates or among the truths is an error, and so
     is a truth row without an estimate (id mismatch); an estimate whose vital
-    is absent where the truth has one is marked ``missed``.
+    is absent where the truth has one is marked ``missed``. A tolerance must be
+    a finite number >= 0.
     """
+    for name, tolerance in (("br", br_tolerance_bpm), ("hr", hr_tolerance_bpm)):
+        if not 0.0 <= tolerance < math.inf:
+            raise ValueError(f"{name}_tolerance_bpm must be a finite number >= 0, not {tolerance}")
     est_by_key = _by_key(estimates, "estimate")
     rows = []
     for key, truth in _by_key(truths, "truth").items():

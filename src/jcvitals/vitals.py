@@ -150,23 +150,20 @@ def bandpass(track: PhaseTrack, low_hz: float, high_hz: float) -> PhaseTrack:
     )
 
 
-def _quadratic_peak(mags: np.ndarray, i: int) -> tuple[float, float]:
-    """Sub-bin offset and height from a parabola through bins i-1, i, i+1."""
+def _quadratic_peak(mags: np.ndarray, i: int) -> float:
+    """Sub-bin offset of the vertex of a parabola through bins i-1, i, i+1."""
     if i <= 0 or i >= mags.size - 1:
-        return 0.0, float(mags[i])
+        return 0.0
     ym1, y0, yp1 = mags[i - 1], mags[i], mags[i + 1]
     denom = 2.0 * (2.0 * y0 - ym1 - yp1)
     if denom == 0:
-        return 0.0, float(y0)
-    delta = (yp1 - ym1) / denom
-    height = y0 - 0.25 * (ym1 - yp1) * delta
-    return float(delta), float(height)
+        return 0.0
+    return float((yp1 - ym1) / denom)
 
 
 @dataclass
 class _BandPeak:
     peak_hz: float
-    peak_magnitude: float
     confidence: float
     freqs: np.ndarray
     mags: np.ndarray  # raw magnitudes over the band
@@ -185,13 +182,12 @@ def _band_spectrum(x: np.ndarray, fs: float, band: tuple, pad: int) -> _BandPeak
     band_freqs = freqs[sel]
     i_local = int(np.argmax(band_mags))
     i_global = int(np.flatnonzero(sel)[i_local])
-    delta, height = _quadratic_peak(mags, i_global)
+    delta = _quadratic_peak(mags, i_global)
     peak_hz = freqs[i_global] + delta * (fs / nfft)
     total = float(band_mags.sum())
     confidence = float(band_mags[i_local] / total) if total > 0 else 0.0
     return _BandPeak(
         peak_hz=float(peak_hz),
-        peak_magnitude=height,
         confidence=confidence,
         freqs=band_freqs,
         mags=band_mags,

@@ -6,7 +6,7 @@ import pytest
 from jcvitals import channel
 from jcvitals.channel import Scene, SceneTarget, simulate_capture
 from jcvitals.physio import VitalParams, synthesize_displacement
-from jcvitals.receiver import ChannelFrameSeries
+from jcvitals.receiver import ChannelFrameSeries, series_at_bins
 from jcvitals.waveform import WaveformSpec, build_waveform
 
 
@@ -112,3 +112,9 @@ def series_of(transfer, spec, frame_rate_hz=50.0) -> ChannelFrameSeries:
     frames = np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
     return ChannelFrameSeries(frames=frames.astype(np.result_type(transfer, np.complex64), copy=False),
                               reference=reference, frame_rate_hz=frame_rate_hz, spec=spec)
+
+
+def bin_series(series: ChannelFrameSeries, b: int) -> np.ndarray:
+    """``series.impulse[:, b]`` as the receive chain reads it: the frames' dot
+    products with ``series.bin_weights(b)``."""
+    return series_at_bins(series.frames, [series.bin_weights(b)])[0]

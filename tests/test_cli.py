@@ -512,6 +512,58 @@ class TestReport:
             assert code == 2, name
             assert "data error" in stderr, name
 
+    @pytest.mark.parametrize("field, value", [
+        ("scenario_id", 1), ("scenario_id", None), ("target_id", [0]), ("target_id", True),
+        ("target_id", 0.0), ("target_id", "0"), ("br_bpm", "16"), ("br_bpm", True),
+        ("br_bpm", [16.0]), ("br_bpm", float("nan")), ("hr_bpm", float("inf")),
+        ("hr_bpm", -float("inf")), ("hr_bpm", {"bpm": 73.0}), ("hr_bpm", 10**400),
+    ])
+    @pytest.mark.parametrize("bad", ["estimates", "truth"])
+    def test_field_of_the_wrong_type_is_data_error(self, tmp_path, capsys, field, value, bad):
+        files = {}
+        for name in ("estimates", "truth"):
+            rec = {"scenario_id": "a", "target_id": 1, "br_bpm": 16.0, "hr_bpm": 73.0}
+            if name == bad:
+                rec[field] = value
+            files[name] = tmp_path / f"{name}.jsonl"
+            files[name].write_text(json.dumps(rec) + "\n")
+        code, stdout, stderr = run_cli(capsys, "report", "--estimates", str(files["estimates"]),
+                                       "--truth", str(files["truth"]))
+        assert code == 2
+        assert f"data error: {files[bad]}: record 1 is not a JSON object with" in stderr
+        assert stdout == ""
+
+    def test_integer_and_absent_rates_are_read(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        est = tmp_path / "est.jsonl"
+        truth.write_text(json.dumps({"scenario_id": "a", "target_id": 0, "br_bpm": 16}) + "\n")
+        est.write_text(json.dumps({"scenario_id": "a", "target_id": 0, "br_bpm": 16.0}) + "\n")
+        code, stdout, _ = run_cli(capsys, "report", "--estimates", str(est),
+                                  "--truth", str(truth))
+        assert code == 0
+        assert "0 failed tolerance" in stdout
+
+    @pytest.mark.parametrize("option", ["--br-tolerance", "--hr-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5", "x"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, option, value):
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text(json.dumps(
+            {"scenario_id": "a", "target_id": 0, "br_bpm": 16.0, "hr_bpm": 73.0}) + "\n")
+        code, stdout, stderr = run_cli(capsys, "report", "--estimates", str(rec),
+                                       "--truth", str(rec), f"{option}={value}")
+        assert code == 1
+        assert "usage error" in stderr and value in stderr
+        assert stdout == ""
+
+    def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text(json.dumps(
+            {"scenario_id": "a", "target_id": 0, "br_bpm": 16.0, "hr_bpm": 73.0}) + "\n")
+        code, stdout, _ = run_cli(capsys, "report", "--estimates", str(rec), "--truth", str(rec),
+                                  "--br-tolerance", "0", "--hr-tolerance", "0")
+        assert code == 0
+        assert "0 failed tolerance" in stdout
+
     def test_id_mismatch_is_data_error(self, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         est = tmp_path / "est.jsonl"

@@ -25,7 +25,7 @@ from jcvitals.ranging import range_profiles, to_range_profiles
 from jcvitals.receiver import ChannelFrameSeries, estimate_channel, series_at_bins
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
 
-from conftest import capture_of, make_target, series_of
+from conftest import bin_series, capture_of, make_target, series_of
 
 SWEEP_COUNTS = [10, 20, 40, 80, 160, 320, 640, 1024]
 
@@ -67,12 +67,10 @@ class TestStreamedDefinitions:
 
         peak = np.abs(h).max()
         for b in range(spec.samples_per_pulse):
-            np.testing.assert_allclose(series.bin_series(b), h[:, b], rtol=1e-12,
+            np.testing.assert_allclose(bin_series(series, b), h[:, b], rtol=1e-12,
                                        atol=1e-12 * peak)
 
         np.testing.assert_allclose(series.impulse, h, rtol=1e-12, atol=1e-12 * peak)
-        np.testing.assert_allclose(profiles.profiles, np.abs(h), rtol=1e-12,
-                                   atol=1e-12 * peak)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -144,7 +142,7 @@ class TestBinSeriesFromFrames:
             h = full_impulse(series)
             peak = np.abs(h).max()
             for b in range(series.spec.samples_per_pulse):
-                np.testing.assert_allclose(series.bin_series(b), h[:, b], rtol=1e-12,
+                np.testing.assert_allclose(bin_series(series, b), h[:, b], rtol=1e-12,
                                            atol=1e-12 * peak)
 
     def test_same_bytes_on_one_and_two_workers(self, small_spec, monkeypatch):
@@ -156,7 +154,7 @@ class TestBinSeriesFromFrames:
         got = []
         for workers in (1, 2):
             monkeypatch.setattr(channel, "_WORKERS", workers)
-            got.append([s.bin_series(b).tobytes() for s in (series, narrow) for b in (0, 7, 159)])
+            got.append([bin_series(s, b).tobytes() for s in (series, narrow) for b in (0, 7, 159)])
         assert got[0] == got[1]
 
 
@@ -178,17 +176,17 @@ class TestComplex64Transfer:
         series = complex64_series(default_spec, 2 * _CHUNK_FRAMES + 3)
         wide = replace(series, frames=series.frames.astype(complex))
         for b in (0, 1, 27, 1250, default_spec.samples_per_pulse - 1):
-            got = series.bin_series(b)
+            got = bin_series(series, b)
             assert got.dtype == complex
-            np.testing.assert_allclose(got, wide.bin_series(b), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, bin_series(wide, b), rtol=1e-12, atol=0)
 
     def test_bin_series_holds_no_complex128_copy(self, default_spec):
         series = complex64_series(default_spec, 2000)
         assert series.transfer.nbytes == 2000 * 1024 * 8
-        series.bin_series(50)  # first call: lazy imports and caches outside the measurement
+        bin_series(series, 50)  # first call: lazy imports and caches outside the measurement
         tracemalloc.start()
         try:
-            series.bin_series(51)
+            bin_series(series, 51)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,7 +244,7 @@ class TestPassesAgree:
             assert profiles.series.spec.active_count == count and result.detections
             for detection in result.detections:
                 b = detection.bin_index
-                series_power = np.mean(np.abs(profiles.series.bin_series(b)) ** 2)
+                series_power = np.mean(np.abs(bin_series(profiles.series, b)) ** 2)
                 np.testing.assert_allclose(profiles.mean_power[b], series_power, rtol=1e-6,
                                            err_msg=f"{count} subcarriers, bin {b}")
 
@@ -404,9 +402,8 @@ def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
     shape = (2000, default_spec.active_count)
     series = series_of(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                        default_spec)
-    profiles = to_range_profiles(series)
     full = series.n_frames * default_spec.samples_per_pulse * 16
-    for build in (lambda: series.impulse, lambda: profiles.profiles):
+    for build in (lambda: series.impulse, lambda: np.abs(series.impulse)):
         tracemalloc.start()
         try:
             build()
@@ -417,7 +414,7 @@ def test_impulse_and_profiles_build_one_n_by_p_array(default_spec):
 
 
 def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_symbol, monkeypatch):
-    """Each worker keeps its block buffers, and no block gives a numpy
+    """Each worker makes its block buffers once, and no block gives a numpy
     arithmetic operation a 2-D strided or broadcast operand, which numpy
     buffers (up to 384 KiB a call). So
     once a worker's first block has run, no block allocates 128 KiB, glibc's
@@ -425,12 +422,12 @@ def test_blocks_allocate_under_128_kib_after_the_first(default_spec, default_sym
     over the 8 sweep bands, and not the bin series'."""
     peaks = []
 
-    def probing(n_frames, block):  # serial, one traced peak per block
-        results = []
+    def probing(n_frames, block, make):  # serial, one traced peak per block
+        results, buffers = [], make()
         for start in range(0, n_frames, _CHUNK_FRAMES):
             current = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            results.append(block(start, min(start + _CHUNK_FRAMES, n_frames)))
+            results.append(block(start, min(start + _CHUNK_FRAMES, n_frames), *buffers))
             peaks.append(tracemalloc.get_traced_memory()[1] - current)
         return results
 

@@ -36,6 +36,13 @@ class TestCompare:
         rows = compare_records(est, truth, br_tolerance_bpm=1.0)
         assert rows[0].br_status == FAIL
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("band", ["br", "hr"])
+    def test_bad_tolerance_rejected(self, band, tolerance):
+        records = [rec("a", 0, 16.0, 73.0)]
+        with pytest.raises(ValueError, match=f"{band}_tolerance_bpm must be a finite number"):
+            compare_records(records, records, **{f"{band}_tolerance_bpm": tolerance})
+
     def test_id_mismatch_rejected(self):
         with pytest.raises(ValueError, match="no estimate"):
             compare_records([], [rec("a", 0, 16.0, 73.0)])

@@ -63,7 +63,7 @@ class TestWalking:
         scenario, capture, symbol = simulate_scenario("walking_fast")
         result = process_capture(capture, symbol=symbol,
                                  config=scenario.processing_config())
-        assert result.profiles.profiles.shape[0] == scenario.n_frames
+        assert result.profiles.series.n_frames == scenario.n_frames
 
 
 class TestSittingStill:

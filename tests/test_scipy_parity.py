@@ -80,8 +80,7 @@ def test_alternative_peak_picker_matches_find_peaks():
         freqs = 0.8 + 0.01 * np.arange(size)
         top = int(np.argmax(mags))
         tol = float(rng.uniform(0.0, 0.2))
-        band = _BandPeak(peak_hz=float(freqs[top]), peak_magnitude=float(mags[top]),
-                         confidence=0.0, freqs=freqs, mags=mags)
+        band = _BandPeak(peak_hz=float(freqs[top]), confidence=0.0, freqs=freqs, mags=mags)
         peaks, _ = find_peaks(np.concatenate(([-np.inf], mags, [-np.inf])))
         away = peaks[np.abs(freqs[peaks - 1] - freqs[top]) > tol] - 1
         expected = None

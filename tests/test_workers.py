@@ -20,7 +20,7 @@ from jcvitals.ranging import range_profiles, to_range_profiles
 from jcvitals.receiver import estimate_channel
 from jcvitals.waveform import select_subcarriers
 
-from conftest import make_target
+from conftest import bin_series, make_target
 
 
 def run_chain(spec, symbol, n_frames, dtype=np.complex64, sweep=False):
@@ -34,7 +34,7 @@ def run_chain(spec, symbol, n_frames, dtype=np.complex64, sweep=False):
     series = estimate_channel(capture, symbol)
     counts = [spec.active_count] + ([spec.active_count // 2, 7] if sweep else [])
     bands = range_profiles(series, [select_subcarriers(spec, count) for count in counts])
-    at_peak = series.bin_series(int(bands[0].mean_power.argmax()))
+    at_peak = bin_series(series, int(bands[0].mean_power.argmax()))
     return (capture.frames, series.transfer, *(band.mean_power for band in bands), at_peak)
 
 
@@ -105,22 +105,34 @@ def test_noise_does_not_depend_on_the_block_loop(small_spec, small_symbol, monke
                                       4 * _CHUNK_FRAMES + 1])
 def test_split_blocks_calls_each_block_once_in_frame_order(monkeypatch, workers, n_frames):
     monkeypatch.setattr(channel, "_WORKERS", workers)
-    calls = []
+    calls, made = [], []
 
-    def block(start, stop):
-        calls.append((start, stop, threading.current_thread()))
+    def make():  # one fresh object per call, recorded with the thread that asked for it
+        buffer = object()
+        made.append((buffer, threading.current_thread()))
+        return (buffer,)
+
+    def block(start, stop, buffer):
+        calls.append((start, stop, threading.current_thread(), buffer))
         return start, stop
 
-    results = channel._split_blocks(n_frames, block)
-    spans = sorted((start, stop) for start, stop, _ in calls)
+    results = channel._split_blocks(n_frames, block, make)
+    spans = sorted((start, stop) for start, stop, *_ in calls)
     assert len(set(spans)) == len(spans) == -(-n_frames // _CHUNK_FRAMES)
     assert all(0 < stop - start <= _CHUNK_FRAMES for start, stop in spans)
     assert [i for start, stop in spans for i in range(start, stop)] == list(range(n_frames))
     assert results == spans
     # the first range on the caller's thread, the helper only for the rest
-    assert [t for start, _, t in calls if start == 0] == [threading.current_thread()]
-    helpers = {thread for *_, thread in calls} - {threading.current_thread()}
+    assert [t for start, _, t, _ in calls if start == 0] == [threading.current_thread()]
+    helpers = {thread for _, _, thread, _ in calls} - {threading.current_thread()}
     assert len(helpers) == (workers > 1 and n_frames > _CHUNK_FRAMES)
+    # each worker makes its buffers once, hands them to every one of its blocks, and no two
+    # workers share them
+    threads = [thread for _, thread in made]
+    assert len(threads) == len(set(threads)) == 1 + len(helpers)
+    assert len({id(buffer) for buffer, _ in made}) == len(made)
+    mine = {thread: buffer for buffer, thread in made}
+    assert all(buffer is mine[thread] for _, _, thread, buffer in calls)
 
 
 class TestWorkerCount:
@@ -227,7 +239,7 @@ class TestFailures:
     def test_bin_series(self, capture, small_symbol, monkeypatch, on_caller):
         series = estimate_channel(capture, small_symbol)
         self.run(monkeypatch, lambda: fail_on(monkeypatch, "vecdot", on_caller, 2, np),
-                 lambda: series.bin_series(3))
+                 lambda: bin_series(series, 3))
 
     @pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "helper"])
     def test_range_profiles(self, capture, small_symbol, monkeypatch, on_caller):
