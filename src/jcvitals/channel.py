@@ -72,7 +72,10 @@ def _split_blocks(n_frames: int, block, make=tuple) -> list:
     results in frame order. Each of ``_WORKERS`` workers runs one contiguous range of blocks,
     the first on the caller's thread; the helper gets the rest, and is joined before this
     returns. ``buffers`` is the tuple ``make()`` returns, called once by each worker, so a
-    worker reuses its buffers for all its blocks; with no ``make``, blocks get none."""
+    worker reuses its buffers for all its blocks; with no ``make``, blocks get none. No
+    frames make no blocks, and ``make`` is not called."""
+    if n_frames == 0:
+        return []
     per_worker = -(-n_frames // (_CHUNK_FRAMES * _WORKERS)) * _CHUNK_FRAMES
 
     def run(lo):
@@ -251,8 +254,6 @@ def simulate_capture(
     """
     if symbol.spec != spec:
         raise ValueError("symbol was built for a different waveform spec")
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
 
     rates = {t.trace.sample_rate_hz for t in scene.targets}
     if len(rates) > 1:
@@ -264,8 +265,7 @@ def simulate_capture(
         frame_rate_hz = trace_rate
     elif frame_rate_hz is None:
         raise ValueError("frame_rate_hz is required for a scene with no targets")
-    if not frame_rate_hz > 0:
-        raise ValueError("frame_rate_hz must be positive")
+    _check_scalars(n_frames, frame_rate_hz)
 
     transfer = _transfer(scene, spec, n_frames)  # checks trace lengths and aliased returns
     sigma = None

@@ -131,13 +131,9 @@ SCENARIO_SCHEMA = {
                 "hr_band_hz": {
                     "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
                 },
-                "zero_pad_factor": {"type": "integer", "minimum": 1},
                 "confidence_threshold": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-                "harmonic_tolerance_hz": {"type": "number", "minimum": 0.0},
                 "min_duration_s": {"type": "number", "minimum": 0.0},
                 "max_targets": {"type": "integer", "minimum": 1},
-                "min_prominence_db": {"type": "number"},
-                "max_below_peak_db": {"type": "number"},
                 "subcarrier_counts": {
                     "type": "array", "items": {"type": "integer", "minimum": 1},
                     "uniqueItems": True,

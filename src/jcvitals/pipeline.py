@@ -24,8 +24,6 @@ class ProcessingConfig:
     cable_offset_m: float = 0.0
     averaging_factor: int = 1
     max_targets: int = 4
-    min_prominence_db: float = 10.0
-    max_below_peak_db: float = 10.0
     vitals: VitalsConfig = field(default_factory=VitalsConfig)
 
 
@@ -104,15 +102,7 @@ def process_with_subcarriers(
     series = estimate_channel(capture._relabelled(spec=widest), symbol)
     # pass 1: every count's range power, each frame transformed once
     profiles = range_profiles(series, list(specs.values()), config.cable_offset_m)
-    detections = [
-        detect_targets(
-            band,
-            max_targets=config.max_targets,
-            min_prominence_db=config.min_prominence_db,
-            max_below_peak_db=config.max_below_peak_db,
-        )
-        for band in profiles
-    ]
+    detections = [detect_targets(band, config.max_targets) for band in profiles]
     # targets numbered by increasing range (nearest person first)
     nearest = [sorted(found, key=lambda d: d.range_m) for found in detections]
     # pass 2: every target's bin series at every count, each frame read once

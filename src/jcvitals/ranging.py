@@ -17,6 +17,14 @@ from .constants import SPEED_OF_LIGHT
 from .receiver import ChannelFrameSeries, series_at_bins
 
 _POWER_FLOOR = 1e-300  # keeps log10 finite on exact zeros
+# a detection clears the noise floor (the profile's median dB) by this much
+_MIN_PROMINENCE_DB = 10.0
+# and lies within this much of the strongest detection, to reject the range
+# sidelobes of strong returns. Set for the old rectangular taper: on the
+# non-walking built-ins (perfbench seeds 0-2) every prominent peak that is
+# not a detection lies 31.4 dB or more below the strongest, the closest
+# (31.4-31.8 dB) being the Hann taper's first sidelobe
+_MAX_BELOW_PEAK_DB = 10.0
 
 
 @dataclass(eq=False)
@@ -79,6 +87,8 @@ def range_profiles(
     """
     if cable_offset_m < 0:
         raise ValueError("cable_offset_m must be >= 0")
+    if series.n_frames == 0:  # the power is a mean over the frames
+        raise ValueError("need at least one frame")
     bands = [series.narrowed(spec) for spec in specs]  # raises unless each is nested
     if not bands:
         return []
@@ -152,19 +162,14 @@ def _block_power(h: np.ndarray) -> np.ndarray:
     return sums[0::2] + sums[1::2]
 
 
-def detect_targets(
-    profiles: RangeProfileSeries,
-    max_targets: int = 4,
-    min_prominence_db: float = 10.0,
-    max_below_peak_db: float = 10.0,
-) -> list[TargetDetection]:
+def detect_targets(profiles: RangeProfileSeries, max_targets: int = 4) -> list[TargetDetection]:
     """Peaks of the slow-time-averaged power profile, strongest first.
 
-    A peak must clear the noise floor (median of the dB profile) by
-    ``min_prominence_db``, be at least one range resolution away from a
-    stronger peak, and lie within ``max_below_peak_db`` of the strongest
-    detection (rejects range sidelobes of strong returns). An empty list is a
-    valid result: nothing exceeded the threshold.
+    A peak must clear the noise floor (median of the dB profile) by 10 dB,
+    be at least one range resolution away from a stronger peak, and lie
+    within 10 dB of the strongest detection (rejects range sidelobes of
+    strong returns). An empty list is a valid result: nothing exceeded the
+    threshold.
     """
     if max_targets < 1:
         raise ValueError("max_targets must be >= 1")
@@ -173,10 +178,10 @@ def detect_targets(
     spacing_bins = max(1, int(round(profiles.range_resolution_m / profiles.bin_width_m)))
     inner = power_db[1:-1]  # a peak is a bin above both neighbours
     peaks = 1 + np.flatnonzero((inner > power_db[:-2]) & (inner > power_db[2:])
-                               & (inner >= floor_db + min_prominence_db))
+                               & (inner >= floor_db + _MIN_PROMINENCE_DB))
     kept, blocked = [], np.zeros(power_db.size, dtype=bool)
     for b in peaks[np.argsort(power_db[peaks])[::-1]]:  # strongest first
-        if len(kept) == max_targets or kept and power_db[b] < power_db[kept[0]] - max_below_peak_db:
+        if len(kept) == max_targets or kept and power_db[b] < power_db[kept[0]] - _MAX_BELOW_PEAK_DB:
             break  # enough, or this peak and all after it too far below the strongest
         if not blocked[b]:
             kept.append(b)

@@ -16,10 +16,15 @@ import numpy as np
 
 from .waveform import hann
 
-# a heart-band peak is checked against these breathing harmonics, and flagged
-# when a second heart-band peak reaches this fraction of the band maximum
+# a heart-band peak is checked against these breathing harmonics, within this
+# tolerance (or one spectral bin, if wider), and flagged when a second
+# heart-band peak reaches this fraction of the band maximum
 _HARMONIC_ORDERS = (2, 3, 4, 5)
+_HARMONIC_TOLERANCE_HZ = 0.05
 _ALTERNATIVE_PEAK_RATIO = 0.5
+# spectral zero padding, fixed: a band's confidence (peak over band sum)
+# scales as 1/padding, so the 0.1 presence threshold holds only at 4x
+_ZERO_PAD = 4
 
 
 @dataclass(eq=False)
@@ -35,15 +40,13 @@ class PhaseTrack:
 
 @dataclass
 class VitalsConfig:
-    """Band edges, spectral settings and decision thresholds."""
+    """Band edges and decision thresholds."""
 
     br_band_hz: tuple = (0.15, 0.5)
     hr_band_hz: tuple = (0.8, 2.0)
-    zero_pad_factor: int = 4
     # calibrated: clean in-band lines score ~0.12, noise-only bands and
     # obstructed heart lines stay below ~0.07 (see vitals threshold tests)
     confidence_threshold: float = 0.1
-    harmonic_tolerance_hz: float = 0.05
     min_duration_s: float = 15.0
 
 
@@ -169,10 +172,10 @@ class _BandPeak:
     mags: np.ndarray  # raw magnitudes over the band
 
 
-def _band_spectrum(x: np.ndarray, fs: float, band: tuple, pad: int) -> _BandPeak:
+def _band_spectrum(x: np.ndarray, fs: float, band: tuple) -> _BandPeak:
     n = x.size
     w = hann(n)
-    nfft = pad * n
+    nfft = _ZERO_PAD * n
     mags = np.abs(np.fft.rfft(x * w, nfft)) * 2.0 / w.sum()
     freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
     sel = (freqs >= band[0]) & (freqs <= band[1])
@@ -221,11 +224,12 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
     """Breathing and heart rate from a phase track.
 
     The track's least-squares line is removed first. Each band is then
-    zero-phase filtered, Hann-tapered, zero-padded and searched
+    zero-phase filtered, Hann-tapered, zero-padded 4x and searched
     for its strongest interpolated peak. The harmonic flag fires when the HR
-    peak sits within tolerance of an integer multiple (2..5) of the BR peak
-    and a competing HR-band peak of at least half its magnitude exists (that
-    competitor is reported as the alternative HR candidate).
+    peak sits within 0.05 Hz (or one spectral bin, if wider) of an integer
+    multiple (2..5) of the BR peak and a competing HR-band peak of at least
+    half its magnitude exists (that competitor is reported as the alternative
+    HR candidate).
     """
     config = config or VitalsConfig()
     if track.duration_s < config.min_duration_s:
@@ -239,14 +243,13 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
 
     br_x = bandpass(base, *config.br_band_hz).unwrapped_phase
     hr_x = bandpass(base, *config.hr_band_hz).unwrapped_phase
-    br = _band_spectrum(br_x, fs, config.br_band_hz, config.zero_pad_factor)
-    hr = _band_spectrum(hr_x, fs, config.hr_band_hz, config.zero_pad_factor)
+    br = _band_spectrum(br_x, fs, config.br_band_hz)
+    hr = _band_spectrum(hr_x, fs, config.hr_band_hz)
 
     br_present = br.confidence >= config.confidence_threshold
     hr_present = hr.confidence >= config.confidence_threshold
 
-    bin_hz = fs / (config.zero_pad_factor * x.size)
-    tol = max(config.harmonic_tolerance_hz, bin_hz)
+    tol = max(_HARMONIC_TOLERANCE_HZ, fs / (_ZERO_PAD * x.size))  # at least one bin
     harmonic_flag = False
     harmonic_order = None
     alternative_hz = None

@@ -262,11 +262,18 @@ class TestProcess:
         assert records[0]["hr_bpm"] == pytest.approx(73.0, abs=2.0)
 
     @pytest.mark.parametrize("analysis, path", [
-        ({"window": "hann"}, "analysis"),  # the range taper is fixed: an unknown key
+        # the range taper, spectral padding, harmonic tolerance and detection limits are fixed:
+        # unknown keys
+        ({"window": "hann"}, "analysis"),
+        ({"zero_pad_factor": 8}, "analysis"),
+        ({"harmonic_tolerance_hz": 0.04}, "analysis"),
+        ({"min_prominence_db": 8.0}, "analysis"),
+        ({"max_below_peak_db": 12.0}, "analysis"),
         ({"br_band_hz": [0.5, 0.15]}, "analysis/br_band_hz"),  # reversed
         ({"br_band_hz": [0.0, 0.5]}, "analysis/br_band_hz"),  # a non-positive edge
         ({"hr_band_hz": [0.8, 25.0]}, "analysis/hr_band_hz"),  # at the 50 Hz frame rate's Nyquist
-    ], ids=["window", "reversed", "zero-edge", "nyquist"])
+    ], ids=["window", "zero_pad_factor", "harmonic_tolerance_hz", "min_prominence_db",
+            "max_below_peak_db", "reversed", "zero-edge", "nyquist"])
     def test_analysis_the_chain_rejects_is_config_error(self, tmp_path, capsys, analysis, path):
         cap = tmp_path / "cap.jcv"
         run_cli(capsys, "simulate", "--config", str(write_config(tmp_path)), "--output", str(cap))

@@ -112,18 +112,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(f"at {path}: {text} is not a finite number")):
             validate_scenario(cfg)
 
-    def test_detrend_is_not_a_setting(self):
-        # the linear trend is always removed; the key is unknown like any other
-        with pytest.raises(ConfigError, match="at analysis: .*'detrend'"):
-            validate_scenario(minimal_config(analysis={"detrend": False}))
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_static_clutter_removal_is_not_a_setting(self, value):
+    @pytest.mark.parametrize("owner, key, value", [
+        # the linear trend is always removed
+        (VitalsConfig, "detrend", False),
         # subtracting the slow-time mean removes a still person's return too
-        with pytest.raises(ConfigError, match="at analysis: .*'remove_static_clutter'"):
-            validate_scenario(minimal_config(analysis={"remove_static_clutter": value}))
-        with pytest.raises(TypeError, match="remove_static_clutter"):
-            ProcessingConfig(remove_static_clutter=value)
+        (ProcessingConfig, "remove_static_clutter", True),
+        # the presence threshold is calibrated at 4x padding only
+        (VitalsConfig, "zero_pad_factor", 8),
+        (VitalsConfig, "harmonic_tolerance_hz", 0.04),
+        (ProcessingConfig, "min_prominence_db", 8.0),
+        (ProcessingConfig, "max_below_peak_db", 12.0),
+    ])
+    def test_retired_setting_is_unknown(self, owner, key, value):
+        # the key is unknown like any other, and no field takes it
+        with pytest.raises(ConfigError, match=f"at analysis: .*'{key}'"):
+            validate_scenario(minimal_config(analysis={key: value}))
+        with pytest.raises(TypeError, match=key):
+            owner(**{key: value})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -200,6 +205,10 @@ class TestDefaultsFromDataclasses:
         props = SCENARIO_SCHEMA["properties"]
         analysis = set(props["analysis"]["properties"]) - {"subcarrier_counts"}
         assert analysis <= _field_names(ProcessingConfig, VitalsConfig)
+        # and back: a field no config can set is a setting only library callers reach.
+        # cable_offset_m comes from scene.cable_delay_range_m, averaging_factor is top level
+        assert _field_names(ProcessingConfig, VitalsConfig) - analysis == {
+            "vitals", "cable_offset_m", "averaging_factor"}
         waveform = set(props["waveform"]["properties"]) - {"active_subcarriers"}
         assert waveform <= _field_names(WaveformSpec)
         scene = set(props["scene"]["properties"]) - {"targets", "clutter"}
@@ -211,13 +220,9 @@ class TestDefaultsFromDataclasses:
         analysis = {
             "br_band_hz": [0.12, 0.55],
             "hr_band_hz": [0.75, 2.2],
-            "zero_pad_factor": 8,
             "confidence_threshold": 0.05,
-            "harmonic_tolerance_hz": 0.04,
             "min_duration_s": 10.0,
             "max_targets": 2,
-            "min_prominence_db": 8.0,
-            "max_below_peak_db": 12.0,
         }
         processing = validate_scenario(minimal_config(analysis=analysis)).processing_config()
         defaults = ProcessingConfig()

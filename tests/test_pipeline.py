@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 import jcvitals
 from jcvitals.channel import Scene, simulate_capture
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
+from jcvitals.report import OK, compare_records
 from jcvitals.vitals import spectral_correlation
 
 from conftest import capture_of, make_target
@@ -108,6 +112,20 @@ class TestSubcarrierSweep:
         assert len(results[1024].detections) == 3
         assert len(results[40].detections) < 3
         assert len(results[10].detections) < 3
+
+
+def test_readme_library_example_prints_the_true_rates():
+    """The README's "Library use" block, run as written, prints BR and HR within
+    the report's tolerances of its person's 16 and 73 bpm."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    br, hr = map(float, out.getvalue().split())
+    truth = {"scenario_id": "readme", "target_id": 0, "br_bpm": 16.0, "hr_bpm": 73.0}
+    [row] = compare_records([{**truth, "br_bpm": br, "hr_bpm": hr}], [truth])
+    assert (row.br_status, row.hr_status) == (OK, OK), (br, hr)
 
 
 # one capture through the chain as the CLI runs it: simulated and written, then read and processed

@@ -8,7 +8,7 @@ from jcvitals.ranging import detect_targets, extract_bin_series, range_profiles,
 from jcvitals.receiver import estimate_channel
 from jcvitals.waveform import build_waveform, select_subcarriers
 
-from conftest import capture_of, make_target
+from conftest import capture_of, make_target, series_of
 
 
 def static_target(rest_range_m, n, rate=50.0, reflectivity=0.67):
@@ -59,6 +59,12 @@ class TestToRangeProfiles:
         series, _ = profiles_for([static_target(2.0, 1)], default_spec, default_symbol,
                                  n_frames=1)
         assert range_profiles(series, []) == []
+
+    def test_no_frames_rejected(self, small_spec):
+        # the power is a mean over the frames
+        series = series_of(np.zeros((0, small_spec.active_count)), small_spec)
+        with pytest.raises(ValueError, match="at least one frame"):
+            range_profiles(series, [small_spec])
 
 
 class TestDetectTargets:
@@ -136,7 +142,7 @@ class TestDetectTargets:
     def test_detection_fields_consistent(self, default_spec, default_symbol):
         _, profiles = profiles_for([static_target(2.0, 20)], default_spec, default_symbol,
                                    snr_db=15.0, n_frames=20)
-        det = detect_targets(profiles, min_prominence_db=10.0)[0]
+        det = detect_targets(profiles)[0]
         assert det.prominence_db >= 10.0
         assert profiles.range_axis_m[det.bin_index] == det.range_m
 

@@ -157,6 +157,11 @@ class TestBinSeriesFromFrames:
             got.append([bin_series(s, b).tobytes() for s in (series, narrow) for b in (0, 7, 159)])
         assert got[0] == got[1]
 
+    def test_no_frames_give_one_empty_series_per_weight(self, small_spec):
+        series = series_of(np.zeros((0, small_spec.active_count), np.complex64), small_spec)
+        got = series_at_bins(series.frames, [series.bin_weights(b) for b in (0, 7)])
+        assert [column.shape for column in got] == [(0,), (0,)]
+
 
 def complex64_series(spec: WaveformSpec, n_frames: int) -> ChannelFrameSeries:
     """Complex64 frames of a transfer with a static part 100 times its moving part."""

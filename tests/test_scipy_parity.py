@@ -12,6 +12,7 @@ from scipy.ndimage import distance_transform_edt
 from scipy.signal import detrend, find_peaks, get_window
 from scipy.signal.windows import hann as scipy_hann
 
+from jcvitals import ranging
 from jcvitals.physio import _breath_gate
 from jcvitals.ranging import RangeProfileSeries, _fast_length, detect_targets
 from jcvitals.receiver import ChannelFrameSeries
@@ -52,7 +53,8 @@ def profiles_of(power_db: np.ndarray, spacing_bins: int) -> RangeProfileSeries:
 
 @pytest.mark.parametrize("spacing_bins", [1, 2, 5, 30])
 @pytest.mark.parametrize("prominence_db", [-np.inf, 0.0, 3.0])
-def test_target_picker_matches_find_peaks(spacing_bins, prominence_db):
+def test_target_picker_matches_find_peaks(monkeypatch, spacing_bins, prominence_db):
+    monkeypatch.setattr(ranging, "_MIN_PROMINENCE_DB", prominence_db)
     rng = np.random.default_rng(spacing_bins)
     for size in (3, 4, 50, 400):
         profiles = profiles_of(rng.normal(-40.0, 5.0, size), spacing_bins)
@@ -60,15 +62,15 @@ def test_target_picker_matches_find_peaks(spacing_bins, prominence_db):
         height = float(np.median(power_db)) + prominence_db
         peaks, _ = find_peaks(power_db, height=height, distance=spacing_bins)
         expected = peaks[np.argsort(power_db[peaks])[::-1]].tolist()
-        found = detect_targets(profiles, max_targets=size, min_prominence_db=prominence_db,
-                               max_below_peak_db=np.inf)
+        monkeypatch.setattr(ranging, "_MAX_BELOW_PEAK_DB", np.inf)
+        found = detect_targets(profiles, max_targets=size)
         assert [d.bin_index for d in found] == expected
         # the sidelobe and count limits keep a prefix of that order
         if expected:
             strongest = power_db[expected[0]]
             within = [b for b in expected if power_db[b] >= strongest - 6.0][:3]
-            found = detect_targets(profiles, max_targets=3, min_prominence_db=prominence_db,
-                                   max_below_peak_db=6.0)
+            monkeypatch.setattr(ranging, "_MAX_BELOW_PEAK_DB", 6.0)
+            found = detect_targets(profiles, max_targets=3)
             assert [d.bin_index for d in found] == within
 
 

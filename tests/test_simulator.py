@@ -280,3 +280,8 @@ class TestFiniteFrames:
     def test_frame_rate_checked_before_simulating(self, small_spec, small_symbol, rate):
         with pytest.raises(ValueError, match="frame_rate_hz must be positive"):
             simulate_capture(Scene(), small_symbol, small_spec, n_frames=4, frame_rate_hz=rate)
+
+    def test_no_frames_rejected(self, small_spec, small_symbol):
+        scene = Scene(targets=[make_target(duration_s=2.0)])
+        with pytest.raises(ValueError, match="at least one frame"):
+            simulate_capture(scene, small_symbol, small_spec, n_frames=0)

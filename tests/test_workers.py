@@ -135,6 +135,16 @@ def test_split_blocks_calls_each_block_once_in_frame_order(monkeypatch, workers,
     assert all(buffer is mine[thread] for _, _, thread, buffer in calls)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_blocks_over_no_frames_runs_nothing(monkeypatch, workers):
+    monkeypatch.setattr(channel, "_WORKERS", workers)
+
+    def never(*args):
+        raise AssertionError("called with no frames")
+
+    assert channel._split_blocks(0, never, never) == []
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("cpus, expected", [({0}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
     def test_from_the_cpu_affinity(self, monkeypatch, cpus, expected):
