@@ -19,7 +19,7 @@ from .vitals import (
     phase_track,
     spectral_correlation,
 )
-from .waveform import BasebandSymbol, WaveformSpec, build_waveform, papr_db, select_subcarriers
+from .waveform import BasebandSymbol, WaveformSpec, build_waveform, select_subcarriers
 
 __all__ = [
     "BasebandSymbol",
@@ -46,7 +46,6 @@ __all__ = [
     "estimate_channel",
     "estimate_vitals",
     "max_unambiguous_range",
-    "papr_db",
     "phase_to_displacement",
     "phase_track",
     "process_capture",

@@ -326,18 +326,12 @@ def simulate_capture(
     return SlowFastMatrix._checked(frames=frames, frame_rate_hz=frame_rate_hz, spec=spec)
 
 
-def analytic_transfer(scene: Scene, spec: WaveformSpec, n_frames: int) -> np.ndarray:
-    """Noise-free channel transfer function on the active band, per frame.
-
-    The one propagation model: ``simulate_capture`` modulates it onto the
-    pulse, and round-trip tests use it as what a perfect estimator recovers.
-    It equals the sum over returns of amplitude * exp(-2j*pi*tau*f_rf).
-    """
-    return _transfer(scene, spec, n_frames)(0, n_frames)
-
-
 def _transfer(scene: Scene, spec: WaveformSpec, n_frames: int):
-    """Check every trace's length and every return against the unambiguous
+    """The one propagation model: the noise-free transfer on the active band per
+    frame, the sum over returns of amplitude * exp(-2j*pi*tau*f_rf), which
+    ``simulate_capture`` modulates onto the pulse and a perfect estimator recovers.
+
+    Check every trace's length and every return against the unambiguous
     range, then return ``rows(start, stop, out=None, ramp=None)``: the transfer
     of frames ``start`` to ``stop``, written into ``out`` if given, with
     ``ramp`` (the same shape) as each return's scratch."""

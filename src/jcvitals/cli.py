@@ -20,7 +20,7 @@ from .config import ConfigError, Scenario, config_digest, load_scenario, validat
 from .pipeline import process_capture, process_with_subcarriers
 from .report import compare_records, render_table
 from .scenarios import describe_scenarios, get_scenario
-from .vitals import phase_to_displacement, spectral_correlation
+from .vitals import MIN_DURATION_S, phase_to_displacement, spectral_correlation
 from .waveform import build_waveform
 
 EXIT_OK = 0
@@ -66,12 +66,13 @@ def _write_manifest(path: Path, scenario: Scenario | None, command: str, extra: 
 def _simulate(scenario: Scenario, counts: tuple | list = ()):
     """The scenario's capture and scene. A scenario that passes the schema but
     that the waveform, scene or simulator rejects is still a config error, as
-    is a subcarrier count outside the waveform's, found before simulating."""
+    is a subcarrier count outside the active band the reference symbol is built
+    from, found before simulating."""
     try:
         spec = scenario.waveform_spec()
         for count in counts:
-            if not 1 <= count <= spec.num_subcarriers:
-                raise ConfigError(f"subcarrier count {count} outside [1, {spec.num_subcarriers}]")
+            if not 1 <= count <= spec.active_count:
+                raise ConfigError(f"subcarrier count {count} outside [1, {spec.active_count}]")
         symbol = build_waveform(spec)
         scene = scenario.build_scene()
         capture = simulate_capture(
@@ -189,9 +190,16 @@ def _counts(text: str) -> list:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args)
     counts = args.counts or scenario.subcarrier_counts
+    config = scenario.processing_config()
+    # the averaged track's length, in the chain's own arithmetic: checked before simulating
+    factor = scenario.averaging_factor
+    duration_s = scenario.n_frames // factor / (scenario.frame_rate_hz / factor)
+    if duration_s < MIN_DURATION_S:
+        raise ConfigError(f"{scenario.scenario_id}: the averaged record of {duration_s:g} s is "
+                          f"shorter than the {MIN_DURATION_S:g} s the vitals need")
     capture, _ = _simulate(scenario, counts)
     spec = capture.spec
-    results = process_with_subcarriers(capture, counts, config=scenario.processing_config())
+    results = process_with_subcarriers(capture, counts, config=config)
 
     per_count = {}
     for count, result in results.items():

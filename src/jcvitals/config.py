@@ -83,7 +83,7 @@ SCENARIO_SCHEMA = {
     "properties": {
         "scenario_id": {"type": "string", "minLength": 1},
         "description": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},  # a JCV1 header's i64
         "duration_s": {"type": "number", "exclusiveMinimum": 0.0},
         "frame_rate_hz": {"type": "number", "exclusiveMinimum": 0.0},
         "averaging_factor": {"type": "integer", "minimum": 1},
@@ -132,7 +132,6 @@ SCENARIO_SCHEMA = {
                     "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
                 },
                 "confidence_threshold": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-                "min_duration_s": {"type": "number", "minimum": 0.0},
                 "max_targets": {"type": "integer", "minimum": 1},
                 "subcarrier_counts": {
                     "type": "array", "items": {"type": "integer", "minimum": 1},
@@ -260,8 +259,14 @@ class Scenario:
         return records
 
 
-# built once: ``jsonschema.validate`` checks the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# built once: ``jsonschema.validate`` checks the schema itself on every call. An
+# "integer" is an int: the draft's own checker also admits a float such as 3.0,
+# which numpy's seeding, shapes and indexing refuse
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _checker, value: type(value) is int),
+)(SCENARIO_SCHEMA)
 
 
 def _non_finite(value, path: str = ""):

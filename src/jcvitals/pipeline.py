@@ -12,7 +12,7 @@ from .channel import SlowFastMatrix
 # stay importable here for callers (perfbench's tracer) that look the chain's steps up here
 from .ranging import (RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series,  # noqa: F401
                       range_profiles, to_range_profiles)
-from .receiver import ChannelFrameSeries, average_slow_time, estimate_channel, series_at_bins
+from .receiver import average_slow_time, estimate_channel, series_at_bins
 from .vitals import PhaseTrack, VitalsConfig, VitalsEstimate, estimate_vitals, phase_track
 from .waveform import BasebandSymbol, build_waveform, select_subcarriers
 
@@ -49,11 +49,10 @@ class TargetResult:
 
 @dataclass
 class ProcessResult:
-    """One receive-chain run. ``series`` is a view of the processed capture's
-    frames, so a kept result keeps the (averaged) frames alive, and each read
-    of ``series.transfer`` or ``series.impulse`` transforms every frame again."""
+    """One receive-chain run. ``profiles.series`` is a view of the processed
+    capture's frames, so a kept result keeps the (averaged) frames alive, and
+    each read of its ``transfer`` or ``impulse`` transforms every frame again."""
 
-    series: ChannelFrameSeries
     profiles: RangeProfileSeries
     detections: list
     targets: list  # TargetResult, ordered by increasing range
@@ -117,6 +116,5 @@ def process_with_subcarriers(
             track = phase_track(next(columns), series.frame_rate_hz)
             estimate = estimate_vitals(track, config.vitals)
             targets.append(TargetResult(target_id=i, detection=det, track=track, estimate=estimate))
-        results[count] = ProcessResult(series=band.series, profiles=band, detections=found,
-                                       targets=targets)
+        results[count] = ProcessResult(profiles=band, detections=found, targets=targets)
     return results

@@ -25,6 +25,9 @@ _ALTERNATIVE_PEAK_RATIO = 0.5
 # spectral zero padding, fixed: a band's confidence (peak over band sum)
 # scales as 1/padding, so the 0.1 presence threshold holds only at 4x
 _ZERO_PAD = 4
+# the shortest track whose vitals are estimated, fixed: the presence test is
+# calibrated on records of fixed lengths (the built-ins' 20 s and 40 s, 10 min)
+MIN_DURATION_S = 15.0
 
 
 @dataclass(eq=False)
@@ -47,7 +50,6 @@ class VitalsConfig:
     # calibrated: clean in-band lines score ~0.12, noise-only bands and
     # obstructed heart lines stay below ~0.07 (see vitals threshold tests)
     confidence_threshold: float = 0.1
-    min_duration_s: float = 15.0
 
 
 @dataclass(eq=False)
@@ -232,10 +234,10 @@ def estimate_vitals(track: PhaseTrack, config: VitalsConfig | None = None) -> Vi
     HR candidate).
     """
     config = config or VitalsConfig()
-    if track.duration_s < config.min_duration_s:
+    if track.duration_s < MIN_DURATION_S:
         raise ValueError(
             f"record of {track.duration_s:.1f} s is shorter than the "
-            f"{config.min_duration_s:.0f} s minimum"
+            f"{MIN_DURATION_S:.0f} s minimum"
         )
     fs = track.sample_rate_hz
     x = _detrended(track.unwrapped_phase)

@@ -137,15 +137,6 @@ def build_waveform(spec: WaveformSpec) -> BasebandSymbol:
     return BasebandSymbol(spec=spec, freq_domain=freq, time_domain=time)
 
 
-def papr_db(symbol: BasebandSymbol) -> float:
-    """Peak-to-average power ratio of the pulse envelope, in dB (>= 0)."""
-    power = np.abs(symbol.time_domain) ** 2
-    mean = power.mean()
-    if mean == 0:
-        raise ValueError("all-zero symbol has no defined PAPR")
-    return 10.0 * math.log10(power.max() / mean)
-
-
 def hann(n: int) -> np.ndarray:
     """Periodic Hann taper of ``n`` taps, ``[1.0]`` for one: the only taper function."""
     if n <= 1:

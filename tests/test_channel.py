@@ -5,7 +5,7 @@ from jcvitals.channel import (
     ClutterPoint,
     Scene,
     SceneTarget,
-    analytic_transfer,
+    _transfer,
     max_unambiguous_range,
     simulate_capture,
 )
@@ -85,9 +85,9 @@ class TestSimulateCapture:
 
     def test_analytic_transfer_rejects_aliased_returns(self, small_spec):
         with pytest.raises(ValueError, match="unambiguous"):
-            analytic_transfer(Scene(targets=[static_target(200.0, 4)]), small_spec, 4)
+            _transfer(Scene(targets=[static_target(200.0, 4)]), small_spec, 4)
         with pytest.raises(ValueError, match="unambiguous"):
-            analytic_transfer(Scene(static_clutter=[ClutterPoint(200.0, 0.5)]), small_spec, 4)
+            _transfer(Scene(static_clutter=[ClutterPoint(200.0, 0.5)]), small_spec, 4)
 
     def test_trace_too_short_rejected(self, small_spec, small_symbol):
         scene = Scene(targets=[static_target(2.0, 4)])
@@ -96,7 +96,7 @@ class TestSimulateCapture:
 
     def test_analytic_transfer_rejects_a_short_trace(self, small_spec):
         with pytest.raises(ValueError, match="shorter"):
-            analytic_transfer(Scene(targets=[static_target(2.0, 4)]), small_spec, 10)
+            _transfer(Scene(targets=[static_target(2.0, 4)]), small_spec, 10)
 
     def test_noise_needs_target_reference(self, small_spec, small_symbol):
         scene = Scene(targets=[], snr_db=20.0)
@@ -196,5 +196,5 @@ class TestInvariants:
             spectra[:, small_spec.active_bins % small_spec.samples_per_pulse]
             / small_symbol.freq_domain[small_spec.active_indices]
         )
-        expected = analytic_transfer(scene, small_spec, capture.n_frames)
+        expected = _transfer(scene, small_spec, capture.n_frames)(0, capture.n_frames)
         assert np.allclose(measured, expected, atol=1e-10)

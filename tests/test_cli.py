@@ -43,12 +43,25 @@ def write_config(tmp_path, name="scn.json", **overrides):
                 }
             ],
         },
-        "analysis": {"min_duration_s": 15.0},
     }
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+class _Simulated(Exception):
+    pass
+
+
+@pytest.fixture
+def unsimulated(monkeypatch):
+    """The CLI's ``simulate_capture`` raises ``_Simulated``: what a test expects to be
+    refused is refused before the capture is simulated."""
+    def simulate(*_args, **_kwargs):
+        raise _Simulated("the capture was simulated before the config was checked")
+
+    monkeypatch.setattr("jcvitals.cli.simulate_capture", simulate)
 
 
 def check_csv(path, header, precisions, *columns):
@@ -218,8 +231,7 @@ class TestSimulate:
         # the noise power ratio leaves the float range: a noise too loud for
         # the capture is a config error, a negligible noise simulates
         scene = {"snr_db": snr_db, "targets": [{"rest_range_m": 2.0}]}
-        config = write_config(tmp_path, duration_s=2.0, scene=scene,
-                              analysis={"min_duration_s": 1.0})
+        config = write_config(tmp_path, duration_s=2.0, scene=scene)
         out = tmp_path / "x.jcv"
         got, _, stderr = run_cli(capsys, "simulate", "--config", str(config), "--output", str(out))
         assert got == code
@@ -246,6 +258,17 @@ class TestSimulate:
             assert "config error: at seed" in stderr
         assert not (tmp_path / "x.jcv").exists()
 
+    def test_seed_beyond_the_header_is_config_error(self, tmp_path, capsys, unsimulated):
+        # a JCV1 header stores the seed as a signed 64-bit integer
+        config = write_config(tmp_path)
+        out = tmp_path / "x.jcv"
+        for source in (("--config", str(config)), ("--scenario", "sitting_still_2m")):
+            code, _, stderr = run_cli(capsys, "simulate", *source, "--seed",
+                                      "99999999999999999999", "--output", str(out))
+            assert code == 1, source
+            assert "config error: at seed" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
 
 class TestProcess:
     def test_process_single_target(self, tmp_path, capsys):
@@ -262,22 +285,23 @@ class TestProcess:
         assert records[0]["hr_bpm"] == pytest.approx(73.0, abs=2.0)
 
     @pytest.mark.parametrize("analysis, path", [
-        # the range taper, spectral padding, harmonic tolerance and detection limits are fixed:
-        # unknown keys
+        # the range taper, spectral padding, harmonic tolerance, detection limits and shortest
+        # record are fixed: unknown keys
         ({"window": "hann"}, "analysis"),
         ({"zero_pad_factor": 8}, "analysis"),
         ({"harmonic_tolerance_hz": 0.04}, "analysis"),
         ({"min_prominence_db": 8.0}, "analysis"),
         ({"max_below_peak_db": 12.0}, "analysis"),
+        ({"min_duration_s": 10.0}, "analysis"),
         ({"br_band_hz": [0.5, 0.15]}, "analysis/br_band_hz"),  # reversed
         ({"br_band_hz": [0.0, 0.5]}, "analysis/br_band_hz"),  # a non-positive edge
         ({"hr_band_hz": [0.8, 25.0]}, "analysis/hr_band_hz"),  # at the 50 Hz frame rate's Nyquist
     ], ids=["window", "zero_pad_factor", "harmonic_tolerance_hz", "min_prominence_db",
-            "max_below_peak_db", "reversed", "zero-edge", "nyquist"])
+            "max_below_peak_db", "min_duration_s", "reversed", "zero-edge", "nyquist"])
     def test_analysis_the_chain_rejects_is_config_error(self, tmp_path, capsys, analysis, path):
         cap = tmp_path / "cap.jcv"
         run_cli(capsys, "simulate", "--config", str(write_config(tmp_path)), "--output", str(cap))
-        config = write_config(tmp_path, "bad.json", analysis={"min_duration_s": 15.0, **analysis})
+        config = write_config(tmp_path, "bad.json", analysis=analysis)
         code, stdout, stderr = run_cli(capsys, "process", "--capture", str(cap),
                                        "--config", str(config))
         assert code == 1
@@ -425,14 +449,63 @@ class TestSweep:
         (1, [0.5, 0.15]),  # reversed
         (2, [0.8, 13.0]),  # above the Nyquist of the averaged 25 Hz frames
     ])
-    def test_band_the_chain_rejects_is_config_error(self, tmp_path, capsys, averaging_factor,
-                                                    band):
+    def test_band_the_chain_rejects_is_config_error(self, tmp_path, capsys, unsimulated,
+                                                    averaging_factor, band):
         config = write_config(tmp_path, averaging_factor=averaging_factor,
-                              analysis={"min_duration_s": 15.0, "hr_band_hz": band})
+                              analysis={"hr_band_hz": band})
         code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config),
                                        "--counts", "10,1024")
         assert code == 1
         assert "config error: at analysis/hr_band_hz" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"seed": 3.0}, "seed"),
+        ({"averaging_factor": 2.0}, "averaging_factor"),
+        ({"waveform": {"samples_per_pulse": 2500.0}}, "waveform/samples_per_pulse"),
+        ({"analysis": {"subcarrier_counts": [40.0]}}, "analysis/subcarrier_counts/0"),
+    ], ids=["seed", "averaging_factor", "samples_per_pulse", "subcarrier_counts"])
+    def test_float_in_an_integer_key_is_config_error(self, tmp_path, capsys, unsimulated,
+                                                     overrides, path):
+        # JSON Schema counts 3.0 as an integer; numpy's seeding, shapes and indexing do not
+        config = write_config(tmp_path, **overrides)
+        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 1
+        assert f"config error: at {path}: " in stderr and "is not of type 'integer'" in stderr
+        assert "Traceback" not in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("duration_s, averaging_factor, shown", [
+        (5.0, 1, "5"),
+        (15.02, 4, "14.96"),  # 751 frames average to 187 of 80 ms
+    ])
+    def test_short_record_is_refused_before_simulating(self, tmp_path, capsys, unsimulated,
+                                                       duration_s, averaging_factor, shown):
+        config = write_config(tmp_path, duration_s=duration_s,
+                              averaging_factor=averaging_factor)
+        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config),
+                                       "--counts", "10,1024")
+        assert code == 1
+        assert (f"config error: cli_test: the averaged record of {shown} s is shorter than "
+                "the 15 s the vitals need") in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("duration_s, averaging_factor", [(15.0, 1), (15.0, 2), (15.08, 4)])
+    def test_record_of_the_minimum_is_simulated(self, tmp_path, unsimulated, duration_s,
+                                                averaging_factor):
+        config = write_config(tmp_path, duration_s=duration_s,
+                              averaging_factor=averaging_factor)
+        with pytest.raises(_Simulated):
+            main(["sweep", "--config", str(config), "--counts", "10,1024"])
+
+    def test_count_beyond_the_active_band_is_refused_before_simulating(self, tmp_path, capsys,
+                                                                       unsimulated):
+        # the reference symbol is built from the config's 40-subcarrier band
+        config = write_config(tmp_path, waveform={"active_subcarriers": 40})
+        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config),
+                                       "--counts", "10,1024")
+        assert code == 1
+        assert "config error: subcarrier count 1024 outside [1, 40]" in stderr
         assert stdout == ""
 
     @pytest.mark.parametrize("counts", ["10,abc", "10,,40", "1.5"])
@@ -443,19 +516,14 @@ class TestSweep:
         assert "usage error: argument --counts: not a comma-separated list of integers" in stderr
         assert stdout == ""
 
-    def test_repeated_count_is_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
-        def simulate(*_args, **_kwargs):
-            raise AssertionError("the capture was simulated before the counts were checked")
-
-        monkeypatch.setattr("jcvitals.cli.simulate_capture", simulate)
+    def test_repeated_count_is_refused_before_simulating(self, tmp_path, capsys, unsimulated):
         code, stdout, stderr = run_cli(capsys, "sweep", "--scenario", "three_persons",
                                        "--counts", "40,40,1024")
         assert code == 1
         assert "usage error: argument --counts: a subcarrier count is repeated" in stderr
         assert stdout == ""
 
-        config = write_config(tmp_path, analysis={"min_duration_s": 15.0,
-                                                  "subcarrier_counts": [40, 40, 1024]})
+        config = write_config(tmp_path, analysis={"subcarrier_counts": [40, 40, 1024]})
         code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 1
         assert "config error: at analysis/subcarrier_counts:" in stderr
@@ -471,11 +539,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("counts", ["0", "10,2000"])
     def test_count_out_of_range_is_refused_before_simulating(self, tmp_path, capsys,
-                                                            monkeypatch, counts):
-        def simulate(*_args, **_kwargs):
-            raise AssertionError("the capture was simulated before the counts were checked")
-
-        monkeypatch.setattr("jcvitals.cli.simulate_capture", simulate)
+                                                            unsimulated, counts):
         code, stdout, stderr = run_cli(capsys, "sweep", "--scenario", "three_persons",
                                        "--counts", counts)
         assert code == 1

@@ -57,6 +57,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="duration_s"):
             validate_scenario(minimal_config(duration_s=0.0))
 
+    def test_seed_fits_a_jcv1_header(self):
+        # the header stores the seed as a signed 64-bit integer
+        assert validate_scenario(minimal_config(seed=2**63 - 1)).seed == 2**63 - 1
+        with pytest.raises(ConfigError, match="at seed: .* is greater than the maximum"):
+            validate_scenario(minimal_config(seed=2**63))
+
     def test_schema_is_a_valid_draft_2020_12_schema(self):
         jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
 
@@ -122,6 +128,8 @@ class TestValidation:
         (VitalsConfig, "harmonic_tolerance_hz", 0.04),
         (ProcessingConfig, "min_prominence_db", 8.0),
         (ProcessingConfig, "max_below_peak_db", 12.0),
+        # the presence test is calibrated at fixed record lengths
+        (VitalsConfig, "min_duration_s", 10.0),
     ])
     def test_retired_setting_is_unknown(self, owner, key, value):
         # the key is unknown like any other, and no field takes it
@@ -221,7 +229,6 @@ class TestDefaultsFromDataclasses:
             "br_band_hz": [0.12, 0.55],
             "hr_band_hz": [0.75, 2.2],
             "confidence_threshold": 0.05,
-            "min_duration_s": 10.0,
             "max_targets": 2,
         }
         processing = validate_scenario(minimal_config(analysis=analysis)).processing_config()

@@ -63,7 +63,7 @@ class TestProcessCapture:
         capture = capture_of([target], default_spec, default_symbol, snr_db=20.0)
         config = ProcessingConfig(averaging_factor=2)
         result = process_capture(capture, symbol=default_symbol, config=config)
-        assert result.series.frame_rate_hz == pytest.approx(25.0)
+        assert result.profiles.series.frame_rate_hz == pytest.approx(25.0)
         assert result.targets[0].estimate.br_bpm == pytest.approx(16.0, abs=1.0)
 
     @pytest.mark.parametrize("factor", [0, -3])

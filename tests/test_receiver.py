@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jcvitals.channel import Scene, SlowFastMatrix, analytic_transfer, simulate_capture
+from jcvitals.channel import Scene, SlowFastMatrix, _transfer, simulate_capture
 from jcvitals.constants import SPEED_OF_LIGHT
 from jcvitals.physio import DisplacementTrace
 from jcvitals.channel import SceneTarget
@@ -94,7 +94,7 @@ class TestEstimateChannel:
                              spec=narrowed)
         series = estimate_channel(sub, default_symbol)
         assert series.transfer.shape[1] == 40
-        expected = analytic_transfer(Scene(targets=[static_target(2.0, 2)]), narrowed, 2)
+        expected = _transfer(Scene(targets=[static_target(2.0, 2)]), narrowed, 2)(0, 2)
         assert np.allclose(series.transfer, expected, atol=1e-10)
 
     def test_narrow_reference_cannot_serve_wide_capture(self, default_spec, default_symbol):
@@ -111,7 +111,7 @@ class TestRoundTrip:
         scene = Scene(targets=[target])
         capture = capture_of([target], default_spec, default_symbol, duration_s=1.0)
         series = estimate_channel(capture, default_symbol)
-        expected = analytic_transfer(scene, default_spec, capture.n_frames)
+        expected = _transfer(scene, default_spec, capture.n_frames)(0, capture.n_frames)
         err = np.linalg.norm(series.transfer - expected) / np.linalg.norm(expected)
         assert 20 * np.log10(err) < -60.0
 

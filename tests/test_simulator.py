@@ -1,6 +1,6 @@
 """The blocked simulator against its definitions.
 
-``analytic_transfer`` builds each return's subcarrier ramp by recurrence and
+``_transfer`` builds each return's subcarrier ramp by recurrence and
 ``simulate_capture`` draws its noise in the frequency grid, block by block;
 these tests hold both to the direct formulas: the complex exponential of
 every frame and subcarrier, and one noise draw per 16-frame noise block
@@ -22,7 +22,7 @@ from jcvitals.channel import (
     Scene,
     SceneTarget,
     SlowFastMatrix,
-    analytic_transfer,
+    _transfer,
     max_unambiguous_range,
     simulate_capture,
 )
@@ -127,7 +127,7 @@ class TestTransferRecurrence:
                    for f in clutter_fractions]
         scene = Scene(targets=targets, static_clutter=clutter, cable_delay_range_m=cable_m)
 
-        got = analytic_transfer(scene, spec, n_frames)
+        got = _transfer(scene, spec, n_frames)(0, n_frames)
         expected = transfer_by_definition(scene, spec, n_frames)
         scale = sum(t.amplitude for t in targets) + sum(c.amplitude for c in clutter)
         assert got.shape == (n_frames, spec.active_count)

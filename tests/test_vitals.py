@@ -184,7 +184,7 @@ class TestInvariantProperties:
         series = estimate_channel(capture, default_symbol)
         det = detect_targets(to_range_profiles(series))[0]
         bin_series = extract_bin_series(series, det)
-        config = VitalsConfig(min_duration_s=15.0)
+        config = VitalsConfig()
         base = estimate_vitals(phase_track(bin_series, FS), config)
         for c in (2.0, -3.5j, 0.3 * np.exp(1.1j)):
             scaled = estimate_vitals(phase_track(c * bin_series, FS), config)
