@@ -22,6 +22,7 @@ rewritten in place, as ``write_capture`` does.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -52,7 +53,12 @@ def write_capture(path, capture: SlowFastMatrix, averaging_factor: int = 1, seed
     """Write ``capture`` as JCV1, the payload in one write. C-contiguous complex64 frames
     (all that ``simulate_capture``, ``read_capture`` and ``average_slow_time`` return) are
     written as they are, with no copy; others, such as complex128 frames built by hand,
-    are first rounded to a complex64 copy."""
+    are first rounded to a complex64 copy. An ``averaging_factor`` or ``seed`` outside its
+    header field (u32, i64) is a ``ValueError``, raised before the file is opened."""
+    for name, value, low, high in (("averaging_factor", averaging_factor, 0, 2**32 - 1),
+                                   ("seed", seed, -2**63, 2**63 - 1)):
+        if not (isinstance(value, numbers.Integral) and low <= value <= high):
+            raise ValueError(f"{name} must be an integer in [{low}, {high}], not {value!r}")
     spec = capture.spec
     idx = spec.active_indices
     header = struct.pack(

@@ -18,7 +18,7 @@ from .capture_io import CaptureFormatError, read_capture, write_capture
 from .channel import simulate_capture
 from .config import ConfigError, Scenario, config_digest, load_scenario, validate_scenario
 from .pipeline import process_capture, process_with_subcarriers
-from .report import compare_records, render_table
+from .report import _is_record, compare_records, render_table
 from .scenarios import describe_scenarios, get_scenario
 from .vitals import MIN_DURATION_S, phase_to_displacement, spectral_correlation
 from .waveform import build_waveform
@@ -245,14 +245,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _rate(value) -> bool:
-    """Whether ``value`` is a record's rate: null, or a number (not a bool) finite as a float."""
-    return value is None or type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _read_records(path) -> list:
-    """One JSON object per non-blank line, each with a string scenario_id and an integer
-    target_id; its br_bpm and hr_bpm, where present, are null or finite numbers."""
+    """One JSON object per non-blank line, each of the form ``compare_records`` accepts."""
     records = []
     try:
         with open(path) as fh:
@@ -263,10 +257,7 @@ def _read_records(path) -> list:
     except (OSError, json.JSONDecodeError) as exc:
         raise CaptureFormatError(f"{path}: {exc}") from exc
     for number, record in enumerate(records, start=1):
-        # type(), not isinstance(): a bool is an int
-        if not (isinstance(record, dict) and isinstance(record.get("scenario_id"), str)
-                and type(record.get("target_id")) is int
-                and _rate(record.get("br_bpm")) and _rate(record.get("hr_bpm"))):
+        if not _is_record(record):
             raise CaptureFormatError(
                 f"{path}: record {number} is not a JSON object with a string scenario_id, an "
                 "integer target_id, and a br_bpm and hr_bpm each absent, null or a finite number")

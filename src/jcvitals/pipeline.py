@@ -49,9 +49,7 @@ class TargetResult:
 
 @dataclass
 class ProcessResult:
-    """One receive-chain run. ``profiles.series`` is a view of the processed
-    capture's frames, so a kept result keeps the (averaged) frames alive, and
-    each read of its ``transfer`` or ``impulse`` transforms every frame again."""
+    """One receive-chain run: arrays and numbers, holding neither the capture nor its frames."""
 
     profiles: RangeProfileSeries
     detections: list
@@ -86,9 +84,9 @@ def process_with_subcarriers(
     frequency fixed. The capture is averaged and its channel estimated once,
     at the widest count; centred bands are nested, so each count reads a
     column sub-range of that estimate. The frames are read twice: once for
-    every count's range power, once for every target's bin series. Each
-    result is bit-identical to ``process_capture`` on the capture relabelled
-    with that count's band.
+    every count's range power, once for every target's bin series. No result
+    keeps the estimate or its frames. Each result is bit-identical to
+    ``process_capture`` on the capture relabelled with that count's band.
     """
     config = config or ProcessingConfig()
     if symbol is None:
@@ -105,9 +103,9 @@ def process_with_subcarriers(
     # targets numbered by increasing range (nearest person first)
     nearest = [sorted(found, key=lambda d: d.range_m) for found in detections]
     # pass 2: every target's bin series at every count, each frame read once
+    bands = [series.narrowed(spec) for spec in specs.values()]
     columns = iter(series_at_bins(capture.frames, [
-        band.series.bin_weights(det.bin_index) for band, near in zip(profiles, nearest)
-        for det in near
+        band.bin_weights(det.bin_index) for band, near in zip(bands, nearest) for det in near
     ]))
     results = {}
     for count, band, found, near in zip(specs, profiles, detections, nearest):

@@ -32,15 +32,13 @@ class RangeProfileSeries:
     """Slow-time mean power of the impulse response on a calibrated range axis.
 
     ``mean_power`` (P) is mean |h|^2 per range bin over the frames (from the
-    band's lags); ``series`` is the band's channel estimate, whose ``impulse``
-    gives the N x P response it averages.
+    band's lags). It holds arrays and numbers only, not the estimate or its frames.
     """
 
     range_axis_m: np.ndarray
     mean_power: np.ndarray
     range_resolution_m: float
     bin_width_m: float
-    series: ChannelFrameSeries
 
     def mean_power_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.mean_power, _POWER_FLOOR))
@@ -119,20 +117,18 @@ def range_profiles(
                            lambda: (np.empty((_CHUNK_FRAMES, p), dtype=series.dtype),
                                     np.empty(_CHUNK_FRAMES * longest, dtype=complex)))
     # each band's block sums added in frame order, as one serial pass adds them
-    return [_profiles(band, sum(powers[i] for powers in blocks), cable_offset_m)
-            for i, band in enumerate(bands)]
+    return [_profiles(band.spec, series.n_frames, sum(powers[i] for powers in blocks),
+                      cable_offset_m) for i, band in enumerate(bands)]
 
 
-def _profiles(series: ChannelFrameSeries, spectrum: np.ndarray,
-              cable_offset_m: float) -> RangeProfileSeries:
+def _profiles(spec, n_frames: int, spectrum: np.ndarray, cable_offset_m: float) -> RangeProfileSeries:
     """The band's profiles from the m-point spectrum of its lags, summed over the frames."""
-    spec = series.spec
     p, count = spec.samples_per_pulse, spec.active_count
     m = spectrum.size
     d = np.arange(1 - count, count)
     grid = np.zeros(p, dtype=complex)
     np.add.at(grid, spec.grid_step * d % p, m * np.fft.fft(spectrum)[d])
-    power = np.maximum(np.fft.ifft(grid).real / (series.n_frames * p), 0.0)
+    power = np.maximum(np.fft.ifft(grid).real / (n_frames * p), 0.0)
     bin_width = SPEED_OF_LIGHT / (2.0 * spec.sample_rate_hz)
     axis = np.arange(p) * bin_width - cable_offset_m
     resolution = SPEED_OF_LIGHT / (2.0 * spec.occupied_bandwidth_hz)
@@ -141,7 +137,6 @@ def _profiles(series: ChannelFrameSeries, spectrum: np.ndarray,
         mean_power=power,
         range_resolution_m=resolution,
         bin_width_m=bin_width,
-        series=series,
     )
 
 

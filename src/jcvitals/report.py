@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 OK = "ok"
@@ -46,8 +47,9 @@ def compare_records(
 
     A key repeated among the estimates or among the truths is an error, and so
     is a truth row without an estimate (id mismatch); an estimate whose vital
-    is absent where the truth has one is marked ``missed``. A tolerance must be
-    a finite number >= 0.
+    is absent where the truth has one is marked ``missed``. A record that ``_is_record``
+    refuses is an error, named by its list and index; so is a tolerance that is not a
+    finite number >= 0.
     """
     for name, tolerance in (("br", br_tolerance_bpm), ("hr", hr_tolerance_bpm)):
         if not 0.0 <= tolerance < math.inf:
@@ -58,31 +60,38 @@ def compare_records(
         if key not in est_by_key:
             raise ValueError(f"no estimate record for scenario/target {key}")
         est = est_by_key.pop(key)
-        br_err, br_status = _judge(truth.get("br_bpm"), est.get("br_bpm"), br_tolerance_bpm)
-        hr_err, hr_status = _judge(truth.get("hr_bpm"), est.get("hr_bpm"), hr_tolerance_bpm)
-        rows.append(
-            ReportRow(
-                scenario_id=truth["scenario_id"],
-                target_id=truth["target_id"],
-                br_true=truth.get("br_bpm"),
-                br_est=est.get("br_bpm"),
-                br_error=br_err,
-                br_status=br_status,
-                hr_true=truth.get("hr_bpm"),
-                hr_est=est.get("hr_bpm"),
-                hr_error=hr_err,
-                hr_status=hr_status,
-            )
-        )
+        judged = {}
+        for band, tolerance in (("br", br_tolerance_bpm), ("hr", hr_tolerance_bpm)):
+            true, estimated = truth.get(f"{band}_bpm"), est.get(f"{band}_bpm")
+            error, status = _judge(true, estimated, tolerance)
+            judged.update({f"{band}_true": true, f"{band}_est": estimated,
+                           f"{band}_error": error, f"{band}_status": status})
+        rows.append(ReportRow(scenario_id=truth["scenario_id"], target_id=truth["target_id"],
+                              **judged))
     if est_by_key:
         raise ValueError(f"estimate records without ground truth: {sorted(est_by_key)}")
     return rows
 
 
+def _is_record(record) -> bool:
+    """Whether ``record`` is a dict with a string scenario_id, an int target_id, and a br_bpm
+    and hr_bpm each absent, None or an int or float (numpy's float64 is one) finite as a float."""
+    def number(value, kind):  # a bool is an int, but neither a target id nor a rate
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    return (isinstance(record, dict) and isinstance(record.get("scenario_id"), str)
+            and number(record.get("target_id"), int)
+            and all(rate is None or number(rate, (int, float)) and abs(rate) <= sys.float_info.max
+                    for rate in (record.get("br_bpm"), record.get("hr_bpm"))))
+
+
 def _by_key(records: list, kind: str) -> dict:
     """``records`` keyed on (scenario_id, target_id), in their order."""
     by_key = {}
-    for record in records:
+    for i, record in enumerate(records):
+        if not _is_record(record):
+            raise ValueError(f"{kind}s[{i}] is not a dict with a string scenario_id, an integer "
+                             f"target_id and finite or absent rates: {record!r}")
         key = (record["scenario_id"], record["target_id"])
         if key in by_key:
             raise ValueError(f"duplicate {kind} record for scenario/target {key}")

@@ -93,6 +93,17 @@ class TestRoundTrip:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2**63), ("seed", -2**63 - 1),
+        ("averaging_factor", -1), ("averaging_factor", 2**32),
+    ])
+    def test_header_field_out_of_range_writes_no_file(self, tmp_path, field, value):
+        # each used to escape from struct.pack as a struct.error naming no field
+        path, capture = tmp_path / "out.jcv", small_capture()
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer in \["):
+            write_capture(path, capture, **{field: value})
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.jcv"
         capture = small_capture()

@@ -1,14 +1,17 @@
 import contextlib
+import gc
 import io
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import jcvitals
+from jcvitals import pipeline, receiver
 from jcvitals.channel import Scene, simulate_capture
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.report import OK, compare_records
@@ -63,7 +66,7 @@ class TestProcessCapture:
         capture = capture_of([target], default_spec, default_symbol, snr_db=20.0)
         config = ProcessingConfig(averaging_factor=2)
         result = process_capture(capture, symbol=default_symbol, config=config)
-        assert result.profiles.series.frame_rate_hz == pytest.approx(25.0)
+        assert result.targets[0].track.sample_rate_hz == pytest.approx(25.0)
         assert result.targets[0].estimate.br_bpm == pytest.approx(16.0, abs=1.0)
 
     @pytest.mark.parametrize("factor", [0, -3])
@@ -112,6 +115,35 @@ class TestSubcarrierSweep:
         assert len(results[1024].detections) == 3
         assert len(results[40].detections) < 3
         assert len(results[10].detections) < 3
+
+
+class TestResultLifetime:
+    """A result holds arrays and numbers only: once the caller drops the
+    capture, its frames, and the averaged frames made from them, are freed."""
+
+    @pytest.mark.parametrize("factor, counts", [(1, None), (2, None), (1, [10, 64])])
+    def test_kept_result_frees_the_frames(self, monkeypatch, small_spec, small_symbol,
+                                          factor, counts):
+        refs = []
+
+        def averaged(capture, k):
+            capture = receiver.average_slow_time(capture, k)
+            refs.append(weakref.ref(capture.frames))
+            return capture
+
+        monkeypatch.setattr(pipeline, "average_slow_time", averaged)
+        capture = capture_of([make_target(duration_s=16.0)], small_spec, small_symbol,
+                             duration_s=16.0)
+        refs.append(weakref.ref(capture.frames))
+        config = ProcessingConfig(averaging_factor=factor)
+        if counts is None:
+            kept = [process_capture(capture, small_symbol, config)]
+        else:
+            kept = list(process_with_subcarriers(capture, counts, small_symbol, config).values())
+        del capture
+        gc.collect()
+        assert all(result.targets for result in kept)
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
 
 
 def test_readme_library_example_prints_the_true_rates():

@@ -244,12 +244,16 @@ class TestPassesAgree:
         assert capture.frames.dtype == np.complex64
         results = process_with_subcarriers(capture, counts, symbol=symbol,
                                            config=scenario.processing_config())
+        estimate = estimate_channel(capture, symbol)
         for count, result in results.items():
             profiles = result.profiles
-            assert profiles.series.spec.active_count == count and result.detections
+            band = estimate.narrowed(select_subcarriers(spec, count))
+            assert result.detections
+            assert profiles.range_resolution_m == pytest.approx(
+                ranging.SPEED_OF_LIGHT / (2.0 * band.spec.occupied_bandwidth_hz))
             for detection in result.detections:
                 b = detection.bin_index
-                series_power = np.mean(np.abs(bin_series(profiles.series, b)) ** 2)
+                series_power = np.mean(np.abs(bin_series(band, b)) ** 2)
                 np.testing.assert_allclose(profiles.mean_power[b], series_power, rtol=1e-6,
                                            err_msg=f"{count} subcarriers, bin {b}")
 

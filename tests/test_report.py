@@ -70,6 +70,22 @@ class TestCompare:
         assert len(rows) == 3
         assert all(r.br_status == OK for r in rows)
 
+    @pytest.mark.parametrize("field, value", [
+        ("target_id", True),  # used to match truth id 1 silently
+        ("br_bpm", "16.0"),  # used to raise a TypeError
+        ("hr_bpm", float("nan")),  # used to give a fail row with a NaN error
+        ("scenario_id", None),  # absent: used to raise a KeyError
+    ])
+    @pytest.mark.parametrize("side", ["estimate", "truth"])
+    def test_malformed_record_rejected(self, side, field, value):
+        good = [rec("a", 0, 16.0, 73.0), rec("a", 1, 16.0, 73.0)]
+        bad = [good[0], {**good[1], field: value}]
+        if value is None:
+            del bad[1][field]
+        records = (bad, good) if side == "estimate" else (good, bad)
+        with pytest.raises(ValueError, match=rf"^{side}s\[1\] is not a dict with a string"):
+            compare_records(*records)
+
 
 class TestRenderTable:
     def test_layout_matches_radar_vs_reference(self):

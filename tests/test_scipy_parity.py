@@ -48,7 +48,7 @@ def profiles_of(power_db: np.ndarray, spacing_bins: int) -> RangeProfileSeries:
     # detect_targets reads the dB profile and the resolution in bins only
     return RangeProfileSeries(range_axis_m=np.arange(power_db.size) * 0.1,
                               mean_power=10.0 ** (power_db / 10.0),
-                              range_resolution_m=0.1 * spacing_bins, bin_width_m=0.1, series=None)
+                              range_resolution_m=0.1 * spacing_bins, bin_width_m=0.1)
 
 
 @pytest.mark.parametrize("spacing_bins", [1, 2, 5, 30])
