@@ -183,8 +183,8 @@ class SlowFastMatrix:
 
     def __post_init__(self):
         self.frames = np.atleast_2d(np.asarray(self.frames))
-        if self.frames.shape[1] != self.spec.samples_per_pulse:
-            raise ValueError("fast-time length must equal spec.samples_per_pulse")
+        if self.frames.ndim != 2 or self.frames.shape[1] != self.spec.samples_per_pulse:
+            raise ValueError(f"frames must be N x spec.samples_per_pulse, not {self.frames.shape}")
         _check_scalars(self.n_frames, self.frame_rate_hz)
         for start in range(0, self.n_frames, _CHUNK_FRAMES):
             _check_finite(self.frames[start : start + _CHUNK_FRAMES])
@@ -200,11 +200,6 @@ class SlowFastMatrix:
         out = object.__new__(cls)
         vars(out).update(fields)
         return out
-
-    def _relabelled(self, **changes) -> SlowFastMatrix:
-        """A copy with ``changes`` that keep its checks true (a nested band,
-        averaged frames)."""
-        return self._checked(**vars(self) | changes)
 
 
 def _check_scalars(n_frames: int, frame_rate_hz: float) -> None:

@@ -193,7 +193,7 @@ class Scenario:
     def build_scene(self) -> Scene:
         """Instantiate the scene; target traces get per-target child seeds."""
         cfg = self.raw["scene"]
-        children = np.random.SeedSequence(self.seed).spawn(max(1, len(cfg["targets"])) + 1)
+        children = np.random.SeedSequence(self.seed).spawn(len(cfg["targets"]))
         targets = []
         for i, tc in enumerate(cfg["targets"]):
             params = VitalParams(**tc.get("vitals", {}))

@@ -82,11 +82,12 @@ def process_with_subcarriers(
     The same recorded frames (same noise realization) are analyzed per count,
     which isolates the effect of occupied bandwidth, keeping the central
     frequency fixed. The capture is averaged and its channel estimated once,
-    at the widest count; centred bands are nested, so each count reads a
-    column sub-range of that estimate. The frames are read twice: once for
-    every count's range power, once for every target's bin series. No result
-    keeps the estimate or its frames. Each result is bit-identical to
-    ``process_capture`` on the capture relabelled with that count's band.
+    at the capture's own band; centred bands are nested, so each count reads
+    a column sub-range of that estimate, and a count wider than the capture's
+    band is a ``ValueError``, whatever the symbol. The frames are read twice:
+    once for every count's range power, once for every target's bin series.
+    No result keeps the estimate or its frames. Each result is bit-identical
+    to ``process_capture`` on the capture relabelled with that count's band.
     """
     config = config or ProcessingConfig()
     if symbol is None:
@@ -94,9 +95,7 @@ def process_with_subcarriers(
     specs = {count: select_subcarriers(capture.spec, count) for count in counts}
     if not specs:
         return {}
-    capture = average_slow_time(capture, config.averaging_factor)
-    widest = max(specs.values(), key=lambda spec: spec.active_count)
-    series = estimate_channel(capture._relabelled(spec=widest), symbol)
+    series = estimate_channel(average_slow_time(capture, config.averaging_factor), symbol)
     # pass 1: every count's range power, each frame transformed once
     profiles = range_profiles(series, list(specs.values()), config.cable_offset_m)
     detections = [detect_targets(band, config.max_targets) for band in profiles]
@@ -104,7 +103,7 @@ def process_with_subcarriers(
     nearest = [sorted(found, key=lambda d: d.range_m) for found in detections]
     # pass 2: every target's bin series at every count, each frame read once
     bands = [series.narrowed(spec) for spec in specs.values()]
-    columns = iter(series_at_bins(capture.frames, [
+    columns = iter(series_at_bins(series.frames, [
         band.bin_weights(det.bin_index) for band, near in zip(bands, nearest) for det in near
     ]))
     results = {}

@@ -126,7 +126,8 @@ class ChannelFrameSeries:
         in this one: the same frames, a contiguous sub-range of the reference."""
         if (spec.active_count > self.spec.active_count
                 or replace(self.spec, active_count=spec.active_count) != spec):
-            raise ValueError("narrowed band is not nested in the estimated band on its grid")
+            raise ValueError(f"a {spec.active_count}-subcarrier band is not nested in the "
+                             f"estimated {self.spec.active_count}-subcarrier band on its grid")
         lo = int(spec.active_indices[0] - self.spec.active_indices[0])
         return replace(self, reference=self.reference[lo : lo + spec.active_count], spec=spec)
 
@@ -161,9 +162,9 @@ def estimate_channel(capture: SlowFastMatrix, symbol: BasebandSymbol) -> Channel
     """The estimate that divides each received spectrum by the transmitted
     one on active bins, as a view of ``capture``: nothing is transformed here.
 
-    The reference symbol may occupy a wider band than the capture's spec (the
-    subcarrier-reduction studies reprocess a full-band capture with a narrowed
-    band); it must cover all active bins of the capture with usable magnitude.
+    The reference symbol may occupy a wider band than the capture's spec (a
+    full-band capture relabelled with a narrowed band); it must cover all
+    active bins of the capture with usable magnitude.
     """
     spec = capture.spec
     ref = symbol.spec
@@ -203,4 +204,5 @@ def average_slow_time(capture: SlowFastMatrix, factor: int) -> SlowFastMatrix:
     p = capture.frames.shape[1]
     frames = _frames_array(blocks, p, np.result_type(capture.frames.dtype, 1.0))  # mean's type
     np.mean(capture.frames[: blocks * factor].reshape(blocks, factor, p), axis=1, out=frames)
-    return capture._relabelled(frames=frames, frame_rate_hz=capture.frame_rate_hz / factor)
+    return SlowFastMatrix._checked(frames=frames, frame_rate_hz=capture.frame_rate_hz / factor,
+                                   spec=capture.spec)

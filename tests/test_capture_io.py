@@ -96,13 +96,24 @@ class TestErrors:
     @pytest.mark.parametrize("field, value", [
         ("seed", 2**63), ("seed", -2**63 - 1),
         ("averaging_factor", -1), ("averaging_factor", 2**32),
+        ("seed", True), ("averaging_factor", False),
     ])
     def test_header_field_out_of_range_writes_no_file(self, tmp_path, field, value):
-        # each used to escape from struct.pack as a struct.error naming no field
+        # each used to escape from struct.pack as a struct.error naming no field;
+        # a bool, an Integral, used to be written as 1 or 0
         path, capture = tmp_path / "out.jcv", small_capture()
         with pytest.raises(ValueError, match=rf"^{field} must be an integer in \["):
             write_capture(path, capture, **{field: value})
         assert not path.exists()
+
+    def test_frames_of_more_than_two_dimensions_refused(self):
+        # a (4, 160, 3) array used to pass as 4 frames, and be written as a
+        # file that read_capture refuses for its trailing bytes
+        spec = WaveformSpec(num_subcarriers=64, samples_per_pulse=160)
+        with pytest.raises(ValueError, match=r"not \(4, 160, 3\)"):
+            SlowFastMatrix(frames=np.zeros((4, 160, 3), np.complex64), frame_rate_hz=50.0, spec=spec)
+        one = SlowFastMatrix(frames=np.zeros(160, np.complex64), frame_rate_hz=50.0, spec=spec)
+        assert one.frames.shape == (1, 160)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.jcv"

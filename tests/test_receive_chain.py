@@ -4,8 +4,8 @@ The chain keeps no N x A transfer matrix: the channel estimate is a view of
 the capture's frames. Range power is read from the band's lag
 autocorrelation, accumulated over frame blocks of compact inverse DFTs of
 the block's transfer rows, the series at a bin is a dot product of the raw
-frames, and a subcarrier sweep estimates the channel once at its widest
-count and reads the frames once per pass for all counts. These tests pin
+frames, and a subcarrier sweep estimates the channel once at the capture's
+band and reads the frames once per pass for all counts. These tests pin
 each shortcut to the quantity it replaces.
 """
 import logging
@@ -299,7 +299,10 @@ class TestSubcarrierSweep:
             reference = process_capture(narrowed, symbol=default_symbol, config=config)
             assert same_result(results[count], reference), count
 
-    def test_channel_estimated_once(self, two_person_capture, default_symbol, monkeypatch):
+    @pytest.mark.parametrize("counts", [[40, 1024, 10], [40, 10]], ids=["with_1024", "narrower"])
+    def test_channel_estimated_once(self, two_person_capture, default_symbol, monkeypatch,
+                                    counts):
+        """At the capture's band, whatever the counts."""
         calls = []
         original = pipeline.estimate_channel
 
@@ -308,15 +311,15 @@ class TestSubcarrierSweep:
             return original(capture, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "estimate_channel", counting)
-        process_with_subcarriers(two_person_capture, [40, 1024, 10], symbol=default_symbol)
+        process_with_subcarriers(two_person_capture, counts, symbol=default_symbol)
         assert calls == [1024]
 
     @pytest.mark.parametrize("config", [ProcessingConfig(), ProcessingConfig(averaging_factor=10)],
                              ids=["default", "averaged"])
     def test_capture_not_validated_again(self, two_person_capture, default_symbol, monkeypatch,
                                          config):
-        """Relabelling the checked capture with the widest band, or averaging
-        it, does not scan every sample again."""
+        """Estimating the checked capture's channel, or averaging it, does
+        not scan every sample again."""
         def validate(capture):
             raise AssertionError("a SlowFastMatrix was validated inside the receive chain")
 
@@ -365,12 +368,13 @@ class TestSubcarrierSweep:
         symbol = build_waveform(spec)
         capture = capture_of([make_target(duration_s=20.0)], spec, symbol, snr_db=20.0,
                              duration_s=20.0)
-        # the capture's own reference cannot serve the wider mask
-        with pytest.raises(ValueError, match="cover"):
-            process_with_subcarriers(capture, [40, 640])
-        # a full-band reference can: each count is as process_capture gives it
-        results = process_with_subcarriers(capture, [40, 640], symbol=default_symbol)
-        for count in (40, 640):
+        # the capture never carried the wider band's bins, whatever the reference
+        for reference in (None, default_symbol):
+            with pytest.raises(ValueError, match="640-subcarrier band is not nested"):
+                process_with_subcarriers(capture, [40, 640], symbol=reference)
+        # a full-band reference serves the capture's band and narrower ones
+        results = process_with_subcarriers(capture, [40, 320], symbol=default_symbol)
+        for count in (40, 320):
             narrowed = replace(capture, spec=select_subcarriers(spec, count))
             assert same_result(results[count], process_capture(narrowed, symbol=default_symbol))
 
