@@ -9,8 +9,8 @@ header: magic "JCV1" | format version u32 | carrier f64 | sample rate f64 |
         active start u32 | active count u32 | seed i64
 
 The averaging factor is metadata: ``jcvitals simulate`` writes 1, and
-``process`` records the field in its manifest but does not apply it; the
-config's ``averaging_factor`` decides.
+``process`` records the field in its manifest but never averages: the
+receive chain processes the frames it is given.
 
 ``read_capture`` checks the file size and the rest of the header before it
 allocates, then reads the payload once, with ``readinto``, into one complex64

@@ -191,11 +191,10 @@ def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args)
     counts = args.counts or scenario.subcarrier_counts
     config = scenario.processing_config()
-    # the averaged track's length, in the chain's own arithmetic: checked before simulating
-    factor = scenario.averaging_factor
-    duration_s = scenario.n_frames // factor / (scenario.frame_rate_hz / factor)
+    # the record's length, checked before simulating
+    duration_s = scenario.n_frames / scenario.frame_rate_hz
     if duration_s < MIN_DURATION_S:
-        raise ConfigError(f"{scenario.scenario_id}: the averaged record of {duration_s:g} s is "
+        raise ConfigError(f"{scenario.scenario_id}: the record of {duration_s:g} s is "
                           f"shorter than the {MIN_DURATION_S:g} s the vitals need")
     capture, _ = _simulate(scenario, counts)
     spec = capture.spec

@@ -86,7 +86,6 @@ SCENARIO_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},  # a JCV1 header's i64
         "duration_s": {"type": "number", "exclusiveMinimum": 0.0},
         "frame_rate_hz": {"type": "number", "exclusiveMinimum": 0.0},
-        "averaging_factor": {"type": "integer", "minimum": 1},
         "waveform": {
             "type": "object",
             "additionalProperties": False,
@@ -135,7 +134,7 @@ SCENARIO_SCHEMA = {
                 "max_targets": {"type": "integer", "minimum": 1},
                 "subcarrier_counts": {
                     "type": "array", "items": {"type": "integer", "minimum": 1},
-                    "uniqueItems": True,
+                    "minItems": 1, "uniqueItems": True,
                 },
             },
         },
@@ -170,10 +169,6 @@ class Scenario:
         return int(round(self.duration_s * self.frame_rate_hz))
 
     @property
-    def averaging_factor(self) -> int:
-        return self.raw.get("averaging_factor", 1)
-
-    @property
     def subcarrier_counts(self) -> list:
         return list(self.raw.get("analysis", {}).get("subcarrier_counts", [10, 40, 1024]))
 
@@ -201,7 +196,6 @@ class Scenario:
             speed = tc.get("walking_speed_m_s")
             if speed is not None:
                 trace = walking_trajectory(
-                    start_range_m=tc["rest_range_m"],
                     speed_m_s=speed,
                     duration_s=self.duration_s,
                     frame_rate_hz=self.frame_rate_hz,
@@ -228,13 +222,12 @@ class Scenario:
     def processing_config(self) -> ProcessingConfig:
         a = self.raw.get("analysis", {})
         vitals = VitalsConfig(**_given(VitalsConfig, a))
-        nyquist = self.frame_rate_hz / self.averaging_factor / 2.0  # of the averaged frames
+        nyquist = self.frame_rate_hz / 2.0
         for key in ("br_band_hz", "hr_band_hz"):
             if not 0 < getattr(vitals, key)[0] < getattr(vitals, key)[1] < nyquist:
                 raise ConfigError(f"at analysis/{key}: need 0 < low < high < {nyquist:g} Hz")
         return ProcessingConfig(
             cable_offset_m=self.raw["scene"].get("cable_delay_range_m", 0.0),
-            averaging_factor=self.averaging_factor,
             vitals=vitals,
             **_given(ProcessingConfig, a),
         )

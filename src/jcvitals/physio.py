@@ -183,7 +183,6 @@ def synthesize_displacement(
 
 
 def walking_trajectory(
-    start_range_m: float,
     speed_m_s: float,
     duration_s: float,
     frame_rate_hz: float,
@@ -194,7 +193,7 @@ def walking_trajectory(
 
     One full out-and-back cycle spans the record, so the range excursion per
     half-period is speed * duration / 2. Displacement is reported relative to
-    ``start_range_m``; all samples are labeled ``moving``.
+    where the walk starts; all samples are labeled ``moving``.
     """
     if speed_m_s < 0:
         raise ValueError("speed_m_s must be >= 0")
@@ -207,8 +206,6 @@ def walking_trajectory(
 
     segments = [Segment(0, n, MOVING)]
     if params is not None:
-        vitals = synthesize_displacement(
-            params, duration_s, frame_rate_hz, rng_seed=rng_seed
-        ).samples[:n]
-        bulk = bulk + vitals
+        bulk = bulk + synthesize_displacement(params, duration_s, frame_rate_hz,
+                                              rng_seed=rng_seed).samples
     return DisplacementTrace(sample_rate_hz=frame_rate_hz, samples=bulk, segments=segments)

@@ -1,18 +1,20 @@
 """End-to-end processing of a capture: channel estimation, target detection,
 per-target phase tracking and vital-sign estimation.
 
-Besides the (averaged) capture, no N x A or N x P array is made: range power
-and the per-target bin series are each one pass over its frames in blocks."""
+The chain never averages: callers compose ``process_capture(average_slow_time(capture, k))``.
+Besides the capture, no N x A or N x P array is made: range power and the
+per-target bin series are each one pass over its frames in blocks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .channel import SlowFastMatrix
 # to_range_profiles and extract_bin_series, the one-band and one-bin cases of the two passes,
-# stay importable here for callers (perfbench's tracer) that look the chain's steps up here
+# and average_slow_time, which callers compose before the chain, stay importable here for
+# callers (perfbench's tracer) that look the chain's steps up here
 from .ranging import (RangeProfileSeries, TargetDetection, detect_targets, extract_bin_series,  # noqa: F401
                       range_profiles, to_range_profiles)
-from .receiver import average_slow_time, estimate_channel, series_at_bins
+from .receiver import average_slow_time, estimate_channel, series_at_bins  # noqa: F401
 from .vitals import PhaseTrack, VitalsConfig, VitalsEstimate, estimate_vitals, phase_track
 from .waveform import BasebandSymbol, build_waveform, select_subcarriers
 
@@ -22,7 +24,6 @@ class ProcessingConfig:
     """Everything the receive chain needs besides the capture itself."""
 
     cable_offset_m: float = 0.0
-    averaging_factor: int = 1
     max_targets: int = 4
     vitals: VitalsConfig = field(default_factory=VitalsConfig)
 
@@ -81,10 +82,11 @@ def process_with_subcarriers(
 
     The same recorded frames (same noise realization) are analyzed per count,
     which isolates the effect of occupied bandwidth, keeping the central
-    frequency fixed. The capture is averaged and its channel estimated once,
-    at the capture's own band; centred bands are nested, so each count reads
-    a column sub-range of that estimate, and a count wider than the capture's
-    band is a ``ValueError``, whatever the symbol. The frames are read twice:
+    frequency fixed. The capture's channel is estimated once, at its own band,
+    and the capture is not averaged; centred bands are nested, so each count
+    reads a column sub-range of that estimate, and a count wider than the
+    capture's band is a ``ValueError``, whatever the symbol, raised before any
+    frame is read. The frames are read twice:
     once for every count's range power, once for every target's bin series.
     No result keeps the estimate or its frames. Each result is bit-identical
     to ``process_capture`` on the capture relabelled with that count's band.
@@ -95,7 +97,7 @@ def process_with_subcarriers(
     specs = {count: select_subcarriers(capture.spec, count) for count in counts}
     if not specs:
         return {}
-    series = estimate_channel(average_slow_time(capture, config.averaging_factor), symbol)
+    series = estimate_channel(capture, symbol)
     # pass 1: every count's range power, each frame transformed once
     profiles = range_profiles(series, list(specs.values()), config.cable_offset_m)
     detections = [detect_targets(band, config.max_targets) for band in profiles]

@@ -15,8 +15,9 @@ computed from them in blocks of ``_CHUNK_FRAMES`` frames:
   upcasting 8 frames at a time into the buffer ``_split_blocks`` hands it.
 
 ``transfer`` and ``impulse`` build the whole N x A and N x P arrays on access;
-the receive chain never reads them. ``average_slow_time`` writes the averaged
-frames into their own mapping (``channel._frames_array``).
+the receive chain never reads them. The chain never averages either:
+``average_slow_time`` is a step callers compose before it, writing the
+averaged frames into their own mapping (``channel._frames_array``).
 """
 from __future__ import annotations
 

@@ -357,7 +357,7 @@ class TestProcess:
                           (6, "6e"), *getattr(tr.estimate, f"{band}_spectrum"))
 
     def test_process_manifest_records_the_capture_averaging_factor(self, tmp_path, capsys):
-        """The JCV1 averaging factor is recorded, not applied: the config's decides."""
+        """The JCV1 averaging factor is recorded, not applied: process never averages."""
         config = write_config(tmp_path)
         cap, tagged = tmp_path / "cap.jcv", tmp_path / "tagged.jcv"
         run_cli(capsys, "simulate", "--config", str(config), "--output", str(cap))
@@ -445,14 +445,12 @@ class TestSweep:
             check_csv(out / f"cli_test_profile_{count}sc.csv", "range_m,power_db", (4, 3),
                       result.profiles.range_axis_m, result.profiles.mean_power_db())
 
-    @pytest.mark.parametrize("averaging_factor, band", [
-        (1, [0.5, 0.15]),  # reversed
-        (2, [0.8, 13.0]),  # above the Nyquist of the averaged 25 Hz frames
+    @pytest.mark.parametrize("band", [
+        [0.5, 0.15],  # reversed
+        [0.8, 26.0],  # above the Nyquist of the 50 Hz frames
     ])
-    def test_band_the_chain_rejects_is_config_error(self, tmp_path, capsys, unsimulated,
-                                                    averaging_factor, band):
-        config = write_config(tmp_path, averaging_factor=averaging_factor,
-                              analysis={"hr_band_hz": band})
+    def test_band_the_chain_rejects_is_config_error(self, tmp_path, capsys, unsimulated, band):
+        config = write_config(tmp_path, analysis={"hr_band_hz": band})
         code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config),
                                        "--counts", "10,1024")
         assert code == 1
@@ -461,10 +459,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("overrides, path", [
         ({"seed": 3.0}, "seed"),
-        ({"averaging_factor": 2.0}, "averaging_factor"),
         ({"waveform": {"samples_per_pulse": 2500.0}}, "waveform/samples_per_pulse"),
         ({"analysis": {"subcarrier_counts": [40.0]}}, "analysis/subcarrier_counts/0"),
-    ], ids=["seed", "averaging_factor", "samples_per_pulse", "subcarrier_counts"])
+    ], ids=["seed", "samples_per_pulse", "subcarrier_counts"])
     def test_float_in_an_integer_key_is_config_error(self, tmp_path, capsys, unsimulated,
                                                      overrides, path):
         # JSON Schema counts 3.0 as an integer; numpy's seeding, shapes and indexing do not
@@ -475,28 +472,26 @@ class TestSweep:
         assert "Traceback" not in stderr
         assert stdout == ""
 
-    @pytest.mark.parametrize("duration_s, averaging_factor, shown", [
-        (5.0, 1, "5"),
-        (15.02, 4, "14.96"),  # 751 frames average to 187 of 80 ms
-    ])
-    def test_short_record_is_refused_before_simulating(self, tmp_path, capsys, unsimulated,
-                                                       duration_s, averaging_factor, shown):
-        config = write_config(tmp_path, duration_s=duration_s,
-                              averaging_factor=averaging_factor)
+    def test_short_record_is_refused_before_simulating(self, tmp_path, capsys, unsimulated):
+        config = write_config(tmp_path, duration_s=5.0)
         code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config),
                                        "--counts", "10,1024")
         assert code == 1
-        assert (f"config error: cli_test: the averaged record of {shown} s is shorter than "
+        assert ("config error: cli_test: the record of 5 s is shorter than "
                 "the 15 s the vitals need") in stderr
         assert stdout == ""
 
-    @pytest.mark.parametrize("duration_s, averaging_factor", [(15.0, 1), (15.0, 2), (15.08, 4)])
-    def test_record_of_the_minimum_is_simulated(self, tmp_path, unsimulated, duration_s,
-                                                averaging_factor):
-        config = write_config(tmp_path, duration_s=duration_s,
-                              averaging_factor=averaging_factor)
+    def test_record_of_the_minimum_is_simulated(self, tmp_path, unsimulated):
+        config = write_config(tmp_path, duration_s=15.0)
         with pytest.raises(_Simulated):
             main(["sweep", "--config", str(config), "--counts", "10,1024"])
+
+    def test_empty_count_list_is_config_error(self, tmp_path, capsys, unsimulated):
+        config = write_config(tmp_path, analysis={"subcarrier_counts": []})
+        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 1
+        assert "config error: at analysis/subcarrier_counts" in stderr
+        assert stdout == ""
 
     def test_count_beyond_the_active_band_is_refused_before_simulating(self, tmp_path, capsys,
                                                                        unsimulated):

@@ -130,11 +130,15 @@ class TestValidation:
         (ProcessingConfig, "max_below_peak_db", 12.0),
         # the presence test is calibrated at fixed record lengths
         (VitalsConfig, "min_duration_s", 10.0),
+        # the chain processes the frames it is given; callers compose average_slow_time
+        (ProcessingConfig, "averaging_factor", 2),
     ])
     def test_retired_setting_is_unknown(self, owner, key, value):
-        # the key is unknown like any other, and no field takes it
-        with pytest.raises(ConfigError, match=f"at analysis: .*'{key}'"):
-            validate_scenario(minimal_config(analysis={key: value}))
+        # the key is unknown like any other, at the top level or in analysis, and no field takes it
+        for path, config in (("<root>", minimal_config(**{key: value})),
+                             ("analysis", minimal_config(analysis={key: value}))):
+            with pytest.raises(ConfigError, match=f"at {path}: .*'{key}'"):
+                validate_scenario(config)
         with pytest.raises(TypeError, match=key):
             owner(**{key: value})
 
@@ -214,9 +218,8 @@ class TestDefaultsFromDataclasses:
         analysis = set(props["analysis"]["properties"]) - {"subcarrier_counts"}
         assert analysis <= _field_names(ProcessingConfig, VitalsConfig)
         # and back: a field no config can set is a setting only library callers reach.
-        # cable_offset_m comes from scene.cable_delay_range_m, averaging_factor is top level
-        assert _field_names(ProcessingConfig, VitalsConfig) - analysis == {
-            "vitals", "cable_offset_m", "averaging_factor"}
+        # cable_offset_m comes from scene.cable_delay_range_m
+        assert _field_names(ProcessingConfig, VitalsConfig) - analysis == {"vitals", "cable_offset_m"}
         waveform = set(props["waveform"]["properties"]) - {"active_subcarriers"}
         assert waveform <= _field_names(WaveformSpec)
         scene = set(props["scene"]["properties"]) - {"targets", "clutter"}

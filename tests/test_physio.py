@@ -142,31 +142,31 @@ def test_breath_gate_matches_brute_force_distance(hold, ramp):
 
 class TestWalking:
     def test_zero_speed_reduces_to_stationary(self):
-        trace = walking_trajectory(2.0, 0.0, 10.0, 50.0)
+        trace = walking_trajectory(0.0, 10.0, 50.0)
         assert np.all(trace.samples == 0.0)
         assert trace.segments[0].label == MOVING
 
     def test_excursion_matches_triangle_kinematics(self):
-        trace = walking_trajectory(2.0, 0.5, 10.0, 50.0)
+        trace = walking_trajectory(0.5, 10.0, 50.0)
         assert trace.samples.max() == pytest.approx(0.5 * 10.0 / 2, rel=0.01)
         assert trace.samples[0] == pytest.approx(0.0)
         assert trace.samples[-1] == pytest.approx(0.0, abs=0.5 * (1 / 50.0) * 1.01)
 
     def test_fast_walk_crosses_many_range_bins_per_second(self):
-        trace = walking_trajectory(2.0, 1.5, 10.0, 50.0)
+        trace = walking_trajectory(1.5, 10.0, 50.0)
         one_second = trace.samples[: 50]
         bins_crossed = np.ptp(one_second) / FULL_BAND_RES_M
         assert bins_crossed > 5
 
     def test_vitals_superimposed(self):
         params = VitalParams(breathing_amplitude_m=6e-3, heart_amplitude_m=0.0)
-        still = walking_trajectory(2.0, 0.0, 20.0, 50.0, params=params)
+        still = walking_trajectory(0.0, 20.0, 50.0, params=params)
         line, _ = dominant_line_hz(still.samples, 50.0, (0.1, 0.7))
         assert line == pytest.approx(params.breathing_rate_hz, abs=0.03)
 
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError):
-            walking_trajectory(2.0, -0.1, 10.0, 50.0)
+            walking_trajectory(-0.1, 10.0, 50.0)
 
 
 class TestTraceInvariants:

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import jcvitals
-from jcvitals import pipeline, receiver
 from jcvitals.channel import Scene, simulate_capture
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
+from jcvitals.receiver import average_slow_time
 from jcvitals.report import OK, compare_records
 from jcvitals.vitals import spectral_correlation
 
@@ -62,23 +62,12 @@ class TestProcessCapture:
                                "harmonic_flag"}
 
     def test_averaging_factor_reduces_rate(self, default_spec, default_symbol):
+        # the chain never averages: a caller composes average_slow_time before it
         target = make_target()
         capture = capture_of([target], default_spec, default_symbol, snr_db=20.0)
-        config = ProcessingConfig(averaging_factor=2)
-        result = process_capture(capture, symbol=default_symbol, config=config)
+        result = process_capture(average_slow_time(capture, 2), symbol=default_symbol)
         assert result.targets[0].track.sample_rate_hz == pytest.approx(25.0)
         assert result.targets[0].estimate.br_bpm == pytest.approx(16.0, abs=1.0)
-
-    @pytest.mark.parametrize("factor", [0, -3])
-    def test_averaging_factor_below_one_is_rejected(self, small_spec, small_symbol, factor):
-        # long enough to process, so only the factor can fail it
-        capture = capture_of([make_target(duration_s=16.0)], small_spec, small_symbol,
-                             duration_s=16.0)
-        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
-            process_capture(capture, config=ProcessingConfig(averaging_factor=factor))
-        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
-            process_with_subcarriers(capture, [10, 64],
-                                     config=ProcessingConfig(averaging_factor=factor))
 
 
 class TestSubcarrierSweep:
@@ -122,28 +111,19 @@ class TestResultLifetime:
     capture, its frames, and the averaged frames made from them, are freed."""
 
     @pytest.mark.parametrize("factor, counts", [(1, None), (2, None), (1, [10, 64])])
-    def test_kept_result_frees_the_frames(self, monkeypatch, small_spec, small_symbol,
-                                          factor, counts):
-        refs = []
-
-        def averaged(capture, k):
-            capture = receiver.average_slow_time(capture, k)
-            refs.append(weakref.ref(capture.frames))
-            return capture
-
-        monkeypatch.setattr(pipeline, "average_slow_time", averaged)
+    def test_kept_result_frees_the_frames(self, small_spec, small_symbol, factor, counts):
         capture = capture_of([make_target(duration_s=16.0)], small_spec, small_symbol,
                              duration_s=16.0)
-        refs.append(weakref.ref(capture.frames))
-        config = ProcessingConfig(averaging_factor=factor)
+        averaged = average_slow_time(capture, factor)
+        refs = [weakref.ref(capture.frames), weakref.ref(averaged.frames)]
         if counts is None:
-            kept = [process_capture(capture, small_symbol, config)]
+            kept = [process_capture(averaged, small_symbol)]
         else:
-            kept = list(process_with_subcarriers(capture, counts, small_symbol, config).values())
-        del capture
+            kept = list(process_with_subcarriers(averaged, counts, small_symbol).values())
+        del capture, averaged
         gc.collect()
         assert all(result.targets for result in kept)
-        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        assert all(ref() is None for ref in refs)
 
 
 def test_readme_library_example_prints_the_true_rates():

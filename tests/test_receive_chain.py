@@ -8,7 +8,6 @@ frames, and a subcarrier sweep estimates the channel once at the capture's
 band and reads the frames once per pass for all counts. These tests pin
 each shortcut to the quantity it replaces.
 """
-import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -20,9 +19,9 @@ from scipy.signal.windows import hann
 
 from jcvitals import channel, pipeline, ranging, receiver, scenarios
 from jcvitals.channel import _CHUNK_FRAMES, Scene, SlowFastMatrix, simulate_capture
-from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
+from jcvitals.pipeline import process_capture, process_with_subcarriers
 from jcvitals.ranging import range_profiles, to_range_profiles
-from jcvitals.receiver import ChannelFrameSeries, estimate_channel, series_at_bins
+from jcvitals.receiver import ChannelFrameSeries, average_slow_time, estimate_channel, series_at_bins
 from jcvitals.waveform import WaveformSpec, build_waveform, select_subcarriers
 
 from conftest import bin_series, capture_of, make_target, series_of
@@ -283,20 +282,16 @@ def two_person_capture(default_spec, default_symbol):
 
 
 class TestSubcarrierSweep:
-    @pytest.mark.parametrize("config", [
-        ProcessingConfig(),
-        ProcessingConfig(averaging_factor=10),
-    ], ids=["default", "averaged"])
+    @pytest.mark.parametrize("factor", [1, 10], ids=["default", "averaged"])
     def test_every_count_bit_identical_to_process_capture(self, two_person_capture,
-                                                          default_symbol, config):
-        capture = two_person_capture
-        results = process_with_subcarriers(capture, SWEEP_COUNTS, symbol=default_symbol,
-                                           config=config)
+                                                          default_symbol, factor):
+        capture = average_slow_time(two_person_capture, factor)
+        results = process_with_subcarriers(capture, SWEEP_COUNTS, symbol=default_symbol)
         assert list(results) == SWEEP_COUNTS
         assert len(results[1024].targets) == 2
         for count in SWEEP_COUNTS:
             narrowed = replace(capture, spec=select_subcarriers(capture.spec, count))
-            reference = process_capture(narrowed, symbol=default_symbol, config=config)
+            reference = process_capture(narrowed, symbol=default_symbol)
             assert same_result(results[count], reference), count
 
     @pytest.mark.parametrize("counts", [[40, 1024, 10], [40, 10]], ids=["with_1024", "narrower"])
@@ -314,18 +309,17 @@ class TestSubcarrierSweep:
         process_with_subcarriers(two_person_capture, counts, symbol=default_symbol)
         assert calls == [1024]
 
-    @pytest.mark.parametrize("config", [ProcessingConfig(), ProcessingConfig(averaging_factor=10)],
-                             ids=["default", "averaged"])
+    @pytest.mark.parametrize("factor", [1, 10], ids=["default", "averaged"])
     def test_capture_not_validated_again(self, two_person_capture, default_symbol, monkeypatch,
-                                         config):
-        """Estimating the checked capture's channel, or averaging it, does
-        not scan every sample again."""
+                                         factor):
+        """Estimating the checked capture's channel, or averaging it before
+        the chain, does not scan every sample again."""
         def validate(capture):
             raise AssertionError("a SlowFastMatrix was validated inside the receive chain")
 
         monkeypatch.setattr(SlowFastMatrix, "__post_init__", validate)
-        results = process_with_subcarriers(two_person_capture, [40, 640], symbol=default_symbol,
-                                           config=config)
+        capture = average_slow_time(two_person_capture, factor)
+        results = process_with_subcarriers(capture, [40, 640], symbol=default_symbol)
         assert list(results) == [40, 640]
 
     def test_range_power_transforms_under_a_quarter_of_the_p_grid(self, default_spec,
@@ -352,26 +346,26 @@ class TestSubcarrierSweep:
         assert points  # the patch saw the transforms
         assert sum(points) <= 0.25 * full
 
-    def test_averaging_warning_logged_once(self, two_person_capture, default_symbol, caplog):
-        config = ProcessingConfig(averaging_factor=3)  # 1000 frames: drops one
-        with caplog.at_level(logging.WARNING, logger="jcvitals.receiver"):
-            process_with_subcarriers(two_person_capture, SWEEP_COUNTS, symbol=default_symbol,
-                                     config=config)
-        drops = [r for r in caplog.records if "drops 1 trailing frame" in r.getMessage()]
-        assert len(drops) == 1
-
     def test_no_counts_gives_no_results(self, two_person_capture, default_symbol):
         assert process_with_subcarriers(two_person_capture, [], symbol=default_symbol) == {}
 
-    def test_count_wider_than_capture_band(self, default_spec, default_symbol):
+    def test_count_wider_than_capture_band(self, default_spec, default_symbol, monkeypatch):
         spec = select_subcarriers(default_spec, 320)
         symbol = build_waveform(spec)
         capture = capture_of([make_target(duration_s=20.0)], spec, symbol, snr_db=20.0,
                              duration_s=20.0)
-        # the capture never carried the wider band's bins, whatever the reference
-        for reference in (None, default_symbol):
-            with pytest.raises(ValueError, match="640-subcarrier band is not nested"):
-                process_with_subcarriers(capture, [40, 640], symbol=reference)
+
+        def read(*_args, **_kwargs):
+            raise AssertionError("the frames were read before the counts were checked")
+
+        # the capture never carried the wider band's bins, whatever the reference,
+        # and the count is refused before any frame is read
+        with monkeypatch.context() as unread:
+            unread.setattr(ranging, "_split_blocks", read)
+            unread.setattr(receiver, "_split_blocks", read)
+            for reference in (None, default_symbol):
+                with pytest.raises(ValueError, match="640-subcarrier band is not nested"):
+                    process_with_subcarriers(capture, [40, 640], symbol=reference)
         # a full-band reference serves the capture's band and narrower ones
         results = process_with_subcarriers(capture, [40, 320], symbol=default_symbol)
         for count in (40, 320):

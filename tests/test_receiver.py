@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,11 @@ class TestAveraging:
         with pytest.raises(ValueError):
             average_slow_time(identity_capture(small_symbol, n=6), 7)
 
+    @pytest.mark.parametrize("factor", [0, -3])
+    def test_factor_below_one_rejected(self, small_spec, small_symbol, factor):
+        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
+            average_slow_time(identity_capture(small_symbol, n=6), factor)
+
     def test_noise_power_drops_20db_at_factor_100(self, default_spec, default_symbol):
         n = 400
         target = static_target(2.0, n)
@@ -171,10 +177,13 @@ class TestAveraging:
         b = per_frame.reshape(-1, 10, default_spec.active_count).mean(axis=1)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-15)
 
-    def test_remainder_dropped(self, small_spec, small_symbol):
+    def test_remainder_dropped(self, small_spec, small_symbol, caplog):
         capture = identity_capture(small_symbol, n=7)
-        out = average_slow_time(capture, 3)
+        with caplog.at_level(logging.WARNING, logger="jcvitals.receiver"):
+            out = average_slow_time(capture, 3)
         assert out.n_frames == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "slow-time averaging drops 1 trailing frame(s)"]
 
     @pytest.mark.parametrize("dtype", [np.complex64, complex])
     def test_same_bytes_as_the_mean_of_the_reshaped_frames(self, small_spec, small_symbol, dtype):
