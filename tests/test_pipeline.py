@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import jcvitals
+from jcvitals import pipeline
 from jcvitals.channel import Scene, simulate_capture
 from jcvitals.pipeline import ProcessingConfig, process_capture, process_with_subcarriers
 from jcvitals.receiver import average_slow_time
@@ -68,6 +69,19 @@ class TestProcessCapture:
         result = process_capture(average_slow_time(capture, 2), symbol=default_symbol)
         assert result.targets[0].track.sample_rate_hz == pytest.approx(25.0)
         assert result.targets[0].estimate.br_bpm == pytest.approx(16.0, abs=1.0)
+
+    @pytest.mark.parametrize("factor", [0, -3])
+    def test_averaging_factor_below_one_is_rejected(self, small_spec, small_symbol, factor):
+        # long enough to process, so only the factor can fail it; the step is the one
+        # pipeline re-exports for callers to compose before the chain
+        capture = capture_of([make_target(duration_s=16.0)], small_spec, small_symbol,
+                             duration_s=16.0)
+        assert pipeline.average_slow_time is average_slow_time
+        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
+            process_capture(pipeline.average_slow_time(capture, factor), small_symbol)
+        with pytest.raises(ValueError, match="averaging factor must be >= 1"):
+            process_with_subcarriers(pipeline.average_slow_time(capture, factor), [10, 64],
+                                     small_symbol)
 
 
 class TestSubcarrierSweep:

@@ -8,6 +8,7 @@ frames, and a subcarrier sweep estimates the channel once at the capture's
 band and reads the frames once per pass for all counts. These tests pin
 each shortcut to the quantity it replaces.
 """
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -345,6 +346,14 @@ class TestSubcarrierSweep:
         full = len(SWEEP_COUNTS) * n_frames * default_spec.samples_per_pulse
         assert points  # the patch saw the transforms
         assert sum(points) <= 0.25 * full
+
+    def test_averaging_warning_logged_once(self, two_person_capture, default_symbol, caplog):
+        # averaged once before the sweep, never again per count: 1000 frames drop one
+        with caplog.at_level(logging.WARNING, logger="jcvitals.receiver"):
+            capture = average_slow_time(two_person_capture, 3)
+            process_with_subcarriers(capture, SWEEP_COUNTS, symbol=default_symbol)
+        drops = [r for r in caplog.records if "drops 1 trailing frame" in r.getMessage()]
+        assert len(drops) == 1
 
     def test_no_counts_gives_no_results(self, two_person_capture, default_symbol):
         assert process_with_subcarriers(two_person_capture, [], symbol=default_symbol) == {}
