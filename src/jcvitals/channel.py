@@ -206,8 +206,8 @@ def _check_scalars(n_frames: int, frame_rate_hz: float) -> None:
     """Raise unless ``n_frames`` frames at ``frame_rate_hz`` make a capture."""
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    if not frame_rate_hz > 0:
-        raise ValueError("frame_rate_hz must be positive")
+    if not 0 < frame_rate_hz < math.inf:  # NaN fails too
+        raise ValueError("frame_rate_hz must be positive and finite")
 
 
 def _check_finite(block: np.ndarray) -> None:

@@ -189,7 +189,7 @@ def _counts(text: str) -> list:
 
 def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args)
-    counts = args.counts or scenario.subcarrier_counts
+    counts = args.counts
     config = scenario.processing_config()
     # the record's length, checked before simulating
     duration_s = scenario.n_frames / scenario.frame_rate_hz
@@ -316,8 +316,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", help="built-in scenario id")
     p.add_argument("--config", help="scenario config JSON path")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--counts", type=_counts,
-                   help="comma-separated subcarrier counts (default from config)")
+    p.add_argument("--counts", type=_counts, default=[10, 40, 1024],
+                   help="comma-separated subcarrier counts (default: 10,40,1024)")
     p.add_argument("--output-dir", help="write the sweep report and profiles here")
     p.set_defaults(func=cmd_sweep)
 

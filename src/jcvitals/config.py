@@ -130,12 +130,6 @@ SCENARIO_SCHEMA = {
                 "hr_band_hz": {
                     "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
                 },
-                "confidence_threshold": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-                "max_targets": {"type": "integer", "minimum": 1},
-                "subcarrier_counts": {
-                    "type": "array", "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1, "uniqueItems": True,
-                },
             },
         },
     },
@@ -167,10 +161,6 @@ class Scenario:
     @property
     def n_frames(self) -> int:
         return int(round(self.duration_s * self.frame_rate_hz))
-
-    @property
-    def subcarrier_counts(self) -> list:
-        return list(self.raw.get("analysis", {}).get("subcarrier_counts", [10, 40, 1024]))
 
     def waveform_spec(self) -> WaveformSpec:
         w = self.raw.get("waveform", {})
@@ -220,8 +210,7 @@ class Scenario:
         return Scene(**scene)
 
     def processing_config(self) -> ProcessingConfig:
-        a = self.raw.get("analysis", {})
-        vitals = VitalsConfig(**_given(VitalsConfig, a))
+        vitals = VitalsConfig(**_given(VitalsConfig, self.raw.get("analysis", {})))
         nyquist = self.frame_rate_hz / 2.0
         for key in ("br_band_hz", "hr_band_hz"):
             if not 0 < getattr(vitals, key)[0] < getattr(vitals, key)[1] < nyquist:
@@ -229,7 +218,6 @@ class Scenario:
         return ProcessingConfig(
             cable_offset_m=self.raw["scene"].get("cable_delay_range_m", 0.0),
             vitals=vitals,
-            **_given(ProcessingConfig, a),
         )
 
     def ground_truth(self) -> list:

@@ -14,19 +14,13 @@ import copy
 
 from .config import ConfigError, Scenario, validate_scenario
 
-_BASE_ANALYSIS = {
-    "br_band_hz": [0.15, 0.5],
-    "hr_band_hz": [0.8, 2.0],
-    "subcarrier_counts": [10, 40, 1024],
-}
-
 # accuracy scenarios use clean breathing (no harmonics): a 3rd harmonic above
 # ~2% of a 6 mm fundamental already outweighs the sub-mm heart line in-band
 _CLEAN = {"breathing_harmonic_weights": []}
 
 
 def _scenario(scenario_id, description, seed, *targets, duration_s=40.0):
-    """The one scenario skeleton: 50 Hz frames at 20 dB SNR, base analysis."""
+    """The one scenario skeleton: 50 Hz frames at 20 dB SNR, default analysis."""
     return {
         "scenario_id": scenario_id,
         "description": description,
@@ -34,7 +28,6 @@ def _scenario(scenario_id, description, seed, *targets, duration_s=40.0):
         "duration_s": duration_s,
         "frame_rate_hz": 50.0,
         "scene": {"snr_db": 20.0, "targets": list(targets)},
-        "analysis": dict(_BASE_ANALYSIS),
     }
 
 

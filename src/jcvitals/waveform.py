@@ -36,19 +36,18 @@ class WaveformSpec:
     active_count: int | None = None
 
     def __post_init__(self):
-        if not self.carrier_frequency_hz > 0:  # NaN fails too
-            raise ValueError("carrier_frequency_hz must be positive")
+        for name in ("carrier_frequency_hz", "pulse_duration_s", "subcarrier_spacing_hz"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
         if self.samples_per_pulse < self.num_subcarriers:
             raise ValueError("samples_per_pulse must be >= num_subcarriers")
-        if not self.pulse_duration_s > 0:
-            raise ValueError("pulse_duration_s must be positive")
-        if not self.subcarrier_spacing_hz > 0:
-            raise ValueError("subcarrier_spacing_hz must be positive")
 
+        # two finite factors can still overflow to inf, which round() refuses
         cycles = self.subcarrier_spacing_hz * self.pulse_duration_s
-        if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles) or round(cycles) < 1:
+        if (not cycles < math.inf or abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles)
+                or round(cycles) < 1):
             raise ValueError(
                 "subcarrier_spacing_hz must be an integer multiple of "
                 "1/pulse_duration_s so subcarriers fall on the pulse DFT grid"

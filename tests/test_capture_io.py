@@ -1,6 +1,8 @@
 import io
+import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,12 +194,17 @@ class TestErrors:
         (2, float("nan")),  # carrier
         (3, 0.0),  # sample rate
         (5, 0.0),  # frame rate
+        (9, math.inf),  # subcarrier spacing
+        (2, math.inf),  # carrier: a wavelength of 0
+        (3, 1e-305),  # sample rate: the pulse duration P / rate times the spacing overflows
+        (3, 1e-310),  # sample rate: the pulse duration P / rate overflows
+        (5, math.inf),  # frame rate
     ])
     def test_header_that_is_not_a_valid_capture(self, tmp_path, field, value):
         path = tmp_path / "spec.jcv"
         write_capture(path, small_capture())
         patch_header(path, field, value)
-        with pytest.raises(CaptureFormatError):
+        with pytest.raises(CaptureFormatError, match="^invalid capture: "):
             read_capture(path)
 
     def test_active_start_off_centre(self, tmp_path):
@@ -234,6 +241,11 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(CaptureFormatError, match="non-finite"):
             read_capture(path)
+
+
+def test_readme_states_the_header_size():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"a {_HEADER_SIZE}-byte header" in readme
 
 
 def test_read_holds_the_payload_once(tmp_path, mapped):

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,9 @@ import numpy as np
 import pytest
 
 import jcvitals
-from jcvitals.capture_io import read_capture, write_capture
+from jcvitals.capture_io import _HEADER_FMT, read_capture, write_capture
 from jcvitals.cli import main
-from jcvitals.config import load_scenario
+from jcvitals.config import ConfigError, load_scenario, validate_scenario
 from jcvitals.pipeline import process_capture, process_with_subcarriers
 from jcvitals.scenarios import get_scenario
 from jcvitals.vitals import phase_to_displacement
@@ -318,6 +320,19 @@ class TestProcess:
         assert code == 2
         assert "byte offset" in stderr
 
+    def test_header_with_an_infinite_spacing_is_data_error(self, tmp_path, capsys):
+        cap = tmp_path / "cap.jcv"
+        run_cli(capsys, "simulate", "--config", str(write_config(tmp_path)), "--output", str(cap))
+        raw = bytearray(cap.read_bytes())
+        header = list(struct.unpack_from(_HEADER_FMT, raw))
+        header[9] = math.inf  # subcarrier spacing
+        struct.pack_into(_HEADER_FMT, raw, 0, *header)
+        cap.write_bytes(bytes(raw))
+        code, stdout, stderr = run_cli(capsys, "process", "--capture", str(cap))
+        assert code == 2
+        assert "data error: invalid capture: subcarrier_spacing_hz must be positive and finite" in stderr
+        assert stdout == ""
+
     def test_exports_written(self, tmp_path, capsys):
         config = write_config(tmp_path)
         cap = tmp_path / "cap.jcv"
@@ -460,8 +475,7 @@ class TestSweep:
     @pytest.mark.parametrize("overrides, path", [
         ({"seed": 3.0}, "seed"),
         ({"waveform": {"samples_per_pulse": 2500.0}}, "waveform/samples_per_pulse"),
-        ({"analysis": {"subcarrier_counts": [40.0]}}, "analysis/subcarrier_counts/0"),
-    ], ids=["seed", "samples_per_pulse", "subcarrier_counts"])
+    ], ids=["seed", "samples_per_pulse"])
     def test_float_in_an_integer_key_is_config_error(self, tmp_path, capsys, unsimulated,
                                                      overrides, path):
         # JSON Schema counts 3.0 as an integer; numpy's seeding, shapes and indexing do not
@@ -486,11 +500,30 @@ class TestSweep:
         with pytest.raises(_Simulated):
             main(["sweep", "--config", str(config), "--counts", "10,1024"])
 
-    def test_empty_count_list_is_config_error(self, tmp_path, capsys, unsimulated):
-        config = write_config(tmp_path, analysis={"subcarrier_counts": []})
+    def test_counts_default_to_10_40_1024(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(capsys, "sweep", "--config", str(write_config(tmp_path)))
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["counts"] == [10, 40, 1024]
+        assert list(report["per_count"]) == ["10", "40", "1024"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("confidence_threshold", 0.05),
+        ("max_targets", 2),
+        ("subcarrier_counts", [10, 40, 1024]),
+    ])
+    def test_retired_analysis_key_is_config_error(self, tmp_path, capsys, unsimulated, key,
+                                                  value):
+        # the chain's defaults stand: VitalsConfig's threshold, ProcessingConfig's
+        # target limit and the counts of --counts
+        config = write_config(tmp_path, analysis={key: value})
+        message = f"at analysis: Additional properties are not allowed ('{key}' was unexpected)"
+        with pytest.raises(ConfigError) as refused:
+            validate_scenario(json.loads(config.read_text()))
+        assert str(refused.value) == message
         code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 1
-        assert "config error: at analysis/subcarrier_counts" in stderr
+        assert f"config error: {message}" in stderr
         assert stdout == ""
 
     def test_count_beyond_the_active_band_is_refused_before_simulating(self, tmp_path, capsys,
@@ -511,18 +544,11 @@ class TestSweep:
         assert "usage error: argument --counts: not a comma-separated list of integers" in stderr
         assert stdout == ""
 
-    def test_repeated_count_is_refused_before_simulating(self, tmp_path, capsys, unsimulated):
+    def test_repeated_count_is_refused_before_simulating(self, capsys, unsimulated):
         code, stdout, stderr = run_cli(capsys, "sweep", "--scenario", "three_persons",
                                        "--counts", "40,40,1024")
         assert code == 1
         assert "usage error: argument --counts: a subcarrier count is repeated" in stderr
-        assert stdout == ""
-
-        config = write_config(tmp_path, analysis={"subcarrier_counts": [40, 40, 1024]})
-        code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(config))
-        assert code == 1
-        assert "config error: at analysis/subcarrier_counts:" in stderr
-        assert "non-unique" in stderr
         assert stdout == ""
 
     def test_count_out_of_range_is_config_error(self, tmp_path, capsys):

@@ -72,7 +72,7 @@ class TestValidation:
         lambda c: c["scene"]["targets"][0]["vitals"].update(typo_hz=1.0, breathing_rate_hz="x"),
         lambda c: c["scene"].pop("targets"),
         lambda c: c["scene"]["targets"].append({"rest_range_m": -1.0, "vitals": {}}),
-        lambda c: c.update(analysis={"subcarrier_counts": [40, 40, 1024]}),
+        lambda c: c.update(analysis={"br_band_hz": [0.15]}),
     ])
     def test_error_message_is_the_one_jsonschema_validate_raises(self, edit):
         cfg = minimal_config()
@@ -215,11 +215,12 @@ class TestDefaultsFromDataclasses:
     # to the dataclass defaults; a key no field carries would vanish silently
     def test_schema_keys_name_dataclass_fields(self):
         props = SCENARIO_SCHEMA["properties"]
-        analysis = set(props["analysis"]["properties"]) - {"subcarrier_counts"}
+        analysis = set(props["analysis"]["properties"])
         assert analysis <= _field_names(ProcessingConfig, VitalsConfig)
         # and back: a field no config can set is a setting only library callers reach.
         # cable_offset_m comes from scene.cable_delay_range_m
-        assert _field_names(ProcessingConfig, VitalsConfig) - analysis == {"vitals", "cable_offset_m"}
+        assert _field_names(ProcessingConfig, VitalsConfig) - analysis == {
+            "vitals", "cable_offset_m", "max_targets", "confidence_threshold"}
         waveform = set(props["waveform"]["properties"]) - {"active_subcarriers"}
         assert waveform <= _field_names(WaveformSpec)
         scene = set(props["scene"]["properties"]) - {"targets", "clutter"}
@@ -228,23 +229,11 @@ class TestDefaultsFromDataclasses:
         assert target - {"walking_speed_m_s", "vitals", "schedule"} <= _field_names(SceneTarget)
 
     def test_every_analysis_key_reaches_the_built_objects(self):
-        analysis = {
-            "br_band_hz": [0.12, 0.55],
-            "hr_band_hz": [0.75, 2.2],
-            "confidence_threshold": 0.05,
-            "max_targets": 2,
-        }
-        processing = validate_scenario(minimal_config(analysis=analysis)).processing_config()
-        defaults = ProcessingConfig()
+        analysis = {"br_band_hz": [0.12, 0.55], "hr_band_hz": [0.75, 2.2]}
+        vitals = validate_scenario(minimal_config(analysis=analysis)).processing_config().vitals
         for key, value in analysis.items():
-            owner, default = (
-                (processing.vitals, defaults.vitals)
-                if hasattr(defaults.vitals, key)
-                else (processing, defaults)
-            )
-            expected = tuple(value) if isinstance(value, list) else value
-            assert getattr(default, key) != expected, key
-            assert getattr(owner, key) == expected, key
+            assert getattr(VitalsConfig(), key) != tuple(value), key
+            assert getattr(vitals, key) == tuple(value), key
 
     def test_minimal_config_gives_dataclass_defaults(self):
         cfg = minimal_config()
@@ -298,33 +287,33 @@ class TestScenarioLibrary:
     def test_builtin_configs_are_pinned(self):
         # the library is the accuracy oracle: editing a scenario updates its pin
         pinned = {
-            "angle_0": "6623a52420569baf4432dc603e67c9c3c76d6714307ce90bda74db3b040dee26",
-            "angle_30": "5b2fd9b2ae1b5abeaa4fb75816cc1faa5d12d564d2f29401b3ee7a65c6b8a4d3",
-            "angle_60": "31c020a230318690770ef1dca0c8648a199759eb7ed81ef59f8f80c0cdae2831",
-            "angle_90": "4ead80adb844e8fc98c732b77b511e7c698340d639378bde4169feeba461f183",
-            "angle_m180": "0bb7a20c2a395f4cf71e9014b46ccee87357feea10334ae91143df2b537953a7",
-            "angle_m30": "bf99d94b824223918e8a4f74c96a1ae60470879ae6f96b98d03451420a3ad3c2",
-            "angle_m60": "1bf087e2ac3b40b96cba2188a2486ec02415954b74e00bd13a36ac78dce28d59",
-            "angle_m90": "03d3df89cdd45b3bff1bbc3b6e4f0b54a07bfc375c2219d855147870b64a2e32",
-            "desk_moving": "e107282239ceafe293e439303b9f34f65d494c5909cd37a2e12a786ef2b1d7b3",
-            "harmonic_confusion": "a3271601cbc96575d7f1033e7c44d475b3579d24b747d7f3e9fa96a57cf517f5",
-            "holding_breath": "f91669365c93e202aa58fd14b7ef99d51b56fcd8619b86a5c03ed088673e67af",
-            "intermittent_breathing": "c175c687a4a924d0050698d035a9d56f7dc03495ab3c4a9afbab4dc7e3907c68",
-            "lying_blanket": "2582f3206778e9db5a245acac083f45c59e3058fcbd33247fe52992530e082da",
-            "lying_tshirt": "a895013ad0d335eebf42f18b87e1c4a353cd3f000412547825611ca8bda00fbf",
-            "nlos": "83e1e6133c92353978b8c302ec86283bfcd0ddecaa6ff717bf27c534efa421ef",
-            "sitting_still_1m": "ea4fdb0042afeb68fee81e62dbb529d24fdd9592132594f4a0db0f5c273a5d87",
-            "sitting_still_2m": "426dd84e23b00acd094444146a4f2b1bb07fff171a31530ee3dca4273a5b9f3d",
-            "sitting_still_2m_sweatshirt": "00b0161ae950c838d56cf969c442c189ef5e840b8b1bc5d4f3a91b1685ac8458",
-            "sitting_still_3m": "9c4d9f9fcc12ff4a1e83d00011f49ff4bdd33ba3b7d7575d1926a30fc12dda52",
-            "sitting_still_4m": "b3d76babb931ed2ea1035795d4a990c42ad17adcf7715f5a017c688e9c707e51",
-            "sitting_still_4m_sweatshirt": "299ceaa78a5e747cc9a2f12e2652a978a47997af5fbc0245909741c128236ed4",
-            "standing_moving": "0b4de19ec5eb35c22a280cec70d979917c2d8611297d3cbd94b437a891a7bd40",
-            "standing_still": "2c27d88ca315d143d00d772ed505bf40cab6f8e1833708a87edcdc0c232629b6",
-            "three_persons": "76028be02e4478a5ef07c44736aa1b6a2b5cba81ea87b707e9bc413d514efe2d",
-            "two_persons": "c4ac73c4e741df6eaf303409ab291da2ee666d36c0325d7690e822aa2a38504b",
-            "walking_fast": "abdbe03ddfb08b9af39664a57c59f4be5a4ad165d29f4c076c275aafeeca5bc5",
-            "walking_slow": "64e54af18986bd136dd6d31412dadb1b50c4add28892d8ecff2ec2bc5e1a3a92",
+            "angle_0": "5ee3e028a75be48b4fd8d81593a4bf541ce23cce2fbd054fa5c5f32931711dce",
+            "angle_30": "fc983572b68d9f534b6de8e2563dd5046b48ef2b15017df210860022a93602fe",
+            "angle_60": "e1d92b8a365a7e000ff7fe187b5db47b375ad2656cd23e7e3b26e57a061500a0",
+            "angle_90": "5cead4f1b3a3c8b4ee86b3809480ffa8f587dce208ef2004c8290f5642796729",
+            "angle_m180": "8278579ac114f56b16542d6ead0c5b592b92d21ba35b4f1ae26f4bdd3a15d8c0",
+            "angle_m30": "e47a61bba61f4a0bf2597598d0be2e105c99bb58bce5d806e86731ba44860782",
+            "angle_m60": "af711146a7acd7afd48e6cc4c3b31902bfae9691a736e613bbc472c4c6768bc4",
+            "angle_m90": "ebe3443f15d6f2c21a2cfc50a3df2b79437b39262c3aa863484540fd94f9c6da",
+            "desk_moving": "ad547b8e20d14cf209b7b6a554fabf506380b0df691b9f7cc9244948aefe2dad",
+            "harmonic_confusion": "e5a510377e78d1c3e41ff74240d4fd2172145e35e28aa59638a7ee5648ed9bf1",
+            "holding_breath": "476a3d05ca6ace01ccbe147b3e0a8b4bce7c7a0b885400a859957da1feda23e7",
+            "intermittent_breathing": "e3ad1343e5cdd71fdf2ed89219758285944268ceebcdece60a1cbd1930daa5f5",
+            "lying_blanket": "9363537d6c4401bb4b7dbf8b06f473794547efbe807cbed135039faecd0297f9",
+            "lying_tshirt": "869bfe5007f128947a098ce56b2a5e8bc536e4420f54200a465dffe06bf74baa",
+            "nlos": "97ef9fdb45432591d7cfadce190a0efcb85fa699da93cf819df986e9070fd175",
+            "sitting_still_1m": "f044780bacb88da4903a266fe9bd16ac02b0d0c19bf6744ca4ecd053370a60a0",
+            "sitting_still_2m": "bb636e27f0c9979f4059b78fd11e37f2d55227259241450e11ce74b375ff9326",
+            "sitting_still_2m_sweatshirt": "921a2a36e12c906bb8be032d9eb147ae2eb56a9adc4e12d6a21fbe97519ba798",
+            "sitting_still_3m": "06aed63d0be8ff3e6934d511f4f1d5b6a76d58c340edba558a249caf586c115c",
+            "sitting_still_4m": "32ac56a9322690e8ea3fd066d3138ed6a926b1db6b52f3e337a848457c0b3f12",
+            "sitting_still_4m_sweatshirt": "b1b470a1ff9cc26d41f1d59a166ffa04b2cfe902db58c2ac81e984d5634da856",
+            "standing_moving": "c07da413f1f1d7b9c65ffd318432ddf016f4ab563ade1be6317d49f8a24abb51",
+            "standing_still": "a5715dd488fd128364dcf30f95df050e41c202bc9a5b2706c7e346e84f963ec7",
+            "three_persons": "441f19421acb60dfed0a0fa40388c86b52ef4e807dd3d88a2d71bb5cc055fdc1",
+            "two_persons": "aef06ad0b62e140c718281ad181e858fc6c6f5708d2aec5a1c4f9f1a833e9355",
+            "walking_fast": "50b4fe8edb23b0bdf9741ed92d91bdbe6f192c99a25b584c52f56445632f6a6d",
+            "walking_slow": "c4c8bfe6acbf0839e0524acd76eac74938c0710a0aa5e48e245192461b48590e",
         }
         assert {sid: config_digest(get_scenario(sid).raw) for sid in scenario_ids()} == pinned
 

@@ -276,7 +276,7 @@ class TestFiniteFrames:
         with pytest.raises(ValueError):
             simulate_capture(scene, small_symbol, small_spec, n_frames=20)
 
-    @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan])
+    @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan, math.inf])
     def test_frame_rate_checked_before_simulating(self, small_spec, small_symbol, rate):
         with pytest.raises(ValueError, match="frame_rate_hz must be positive"):
             simulate_capture(Scene(), small_symbol, small_spec, n_frames=4, frame_rate_hz=rate)
