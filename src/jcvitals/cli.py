@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: simulate, process, sweep, report, list-scenarios.
+``process --export-dir`` writes every CSV layout; ``report`` prints its table,
+judged at BR ±1 / HR ±2 bpm, to stdout.
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a retired --export is refused, not read as --export-dir
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         raise _UsageError(message)
 
@@ -112,9 +116,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-EXPORT_KINDS = ("range-profile", "phase", "displacement", "spectra")
-
-
 def _write_csv(path, header: str, row_format: str, *columns) -> None:
     """Write ``header``, then one ``row_format.format(*row)`` line per row of
     the equal-length ``columns``."""
@@ -129,26 +130,22 @@ def _write_profile(path, profiles) -> None:
                profiles.range_axis_m, profiles.mean_power_db())
 
 
-def _export_results(result, scenario_id, export_dir: Path, spec, kinds=None):
-    kinds = set(kinds or EXPORT_KINDS)
+def _export_results(result, scenario_id, export_dir: Path, spec):
+    """The range profile, then each target's phase, displacement and BR and HR spectra."""
     export_dir.mkdir(parents=True, exist_ok=True)
-    if "range-profile" in kinds:
-        _write_profile(export_dir / f"{scenario_id}_range_profile.csv", result.profiles)
+    _write_profile(export_dir / f"{scenario_id}_range_profile.csv", result.profiles)
     wavelength = spec.effective_wavelength_m
     for tr in result.targets:
         stem = f"{scenario_id}_target{tr.target_id}"
         t = np.arange(len(tr.track.unwrapped_phase)) / tr.track.sample_rate_hz
-        if "phase" in kinds:
-            _write_csv(export_dir / f"{stem}_phase.csv", "time_s,phase_rad", "{:.6f},{:.9e}",
-                       t, tr.track.unwrapped_phase)
-        if "displacement" in kinds:
-            _write_csv(export_dir / f"{stem}_displacement.csv", "time_s,displacement_m",
-                       "{:.6f},{:.9e}", t, phase_to_displacement(tr.track, wavelength))
-        if "spectra" in kinds:
-            for band in ("br", "hr"):
-                _write_csv(export_dir / f"{stem}_{band}_spectrum.csv",
-                           "frequency_hz,normalized_magnitude", "{:.6f},{:.6e}",
-                           *getattr(tr.estimate, f"{band}_spectrum"))
+        _write_csv(export_dir / f"{stem}_phase.csv", "time_s,phase_rad", "{:.6f},{:.9e}",
+                   t, tr.track.unwrapped_phase)
+        _write_csv(export_dir / f"{stem}_displacement.csv", "time_s,displacement_m",
+                   "{:.6f},{:.9e}", t, phase_to_displacement(tr.track, wavelength))
+        for band in ("br", "hr"):
+            _write_csv(export_dir / f"{stem}_{band}_spectrum.csv",
+                       "frequency_hz,normalized_magnitude", "{:.6f},{:.6e}",
+                       *getattr(tr.estimate, f"{band}_spectrum"))
 
 
 def cmd_process(args) -> int:
@@ -168,7 +165,7 @@ def cmd_process(args) -> int:
 
     if args.export_dir:
         export_dir = Path(args.export_dir)
-        _export_results(result, scenario_id, export_dir, capture.spec, kinds=args.export)
+        _export_results(result, scenario_id, export_dir, capture.spec)
         _write_manifest(export_dir / f"{scenario_id}_process.manifest.json", scenario,
                         "process", {"capture": str(args.capture), "capture_seed": meta.seed,
                                     "capture_averaging_factor": meta.averaging_factor})
@@ -263,24 +260,10 @@ def _read_records(path) -> list:
     return records
 
 
-def _tolerance(text: str) -> float:
-    """``--br-tolerance`` and ``--hr-tolerance``: one that is not a number, not finite or
-    negative is a usage error, raised by argparse."""
-    tolerance = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0.0 <= tolerance < math.inf:
-        raise argparse.ArgumentTypeError(f"not a finite tolerance >= 0: {text!r}")
-    return tolerance
-
-
 def cmd_report(args) -> int:
     estimates = _read_records(args.estimates)
     truths = _read_records(args.truth)
-    rows = compare_records(estimates, truths, args.br_tolerance, args.hr_tolerance)
-    table = render_table(rows)
-    print(table)
-    if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(table + "\n")
+    print(render_table(compare_records(estimates, truths)))
     return EXIT_OK
 
 
@@ -307,9 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", help="built-in scenario id for analysis settings")
     p.add_argument("--config", help="scenario config JSON for analysis settings")
     p.add_argument("--estimates-out", help="write estimate records (JSON lines) here")
-    p.add_argument("--export-dir", help="export analysis products here as CSV")
-    p.add_argument("--export", action="append", choices=EXPORT_KINDS,
-                   help="which products to export (repeatable; default: all)")
+    p.add_argument("--export-dir", help="export every analysis product here as CSV")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("sweep", help="process one scene at several subcarrier counts")
@@ -324,9 +305,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="accuracy table of estimates vs ground truth")
     p.add_argument("--estimates", required=True, help="estimate records (JSON lines)")
     p.add_argument("--truth", required=True, help="ground-truth records (JSON lines)")
-    p.add_argument("--br-tolerance", type=_tolerance, default=1.0)
-    p.add_argument("--hr-tolerance", type=_tolerance, default=2.0)
-    p.add_argument("--output", help="also write the table to this file")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("list-scenarios", help="list built-in scenarios")

@@ -1,7 +1,7 @@
-"""Accuracy tables: estimated vs ground-truth rates per scenario/target."""
+"""Accuracy tables: estimated vs ground-truth rates per scenario/target, each
+rate judged at a fixed tolerance (BR ±1 bpm, HR ±2 bpm)."""
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -10,6 +10,9 @@ FAIL = "fail"
 MISSED = "missed"
 SPURIOUS = "spurious"
 BLANK = "--"
+
+BR_TOLERANCE_BPM = 1.0
+HR_TOLERANCE_BPM = 2.0
 
 
 @dataclass
@@ -37,23 +40,16 @@ def _judge(true_bpm, est_bpm, tol_bpm):
     return err, OK if err <= tol_bpm else FAIL
 
 
-def compare_records(
-    estimates: list,
-    truths: list,
-    br_tolerance_bpm: float = 1.0,
-    hr_tolerance_bpm: float = 2.0,
-) -> list:
-    """Match estimate and truth records on (scenario_id, target_id).
+def compare_records(estimates: list, truths: list) -> list:
+    """Match estimate and truth records on (scenario_id, target_id) and judge
+    each rate at ``BR_TOLERANCE_BPM`` or ``HR_TOLERANCE_BPM``: an error at most
+    the tolerance is ``ok``, a larger one ``fail``.
 
     A key repeated among the estimates or among the truths is an error, and so
     is a truth row without an estimate (id mismatch); an estimate whose vital
     is absent where the truth has one is marked ``missed``. A record that ``_is_record``
-    refuses is an error, named by its list and index; so is a tolerance that is not a
-    finite number >= 0.
+    refuses is an error, named by its list and index.
     """
-    for name, tolerance in (("br", br_tolerance_bpm), ("hr", hr_tolerance_bpm)):
-        if not 0.0 <= tolerance < math.inf:
-            raise ValueError(f"{name}_tolerance_bpm must be a finite number >= 0, not {tolerance}")
     est_by_key = _by_key(estimates, "estimate")
     rows = []
     for key, truth in _by_key(truths, "truth").items():
@@ -61,7 +57,7 @@ def compare_records(
             raise ValueError(f"no estimate record for scenario/target {key}")
         est = est_by_key.pop(key)
         judged = {}
-        for band, tolerance in (("br", br_tolerance_bpm), ("hr", hr_tolerance_bpm)):
+        for band, tolerance in (("br", BR_TOLERANCE_BPM), ("hr", HR_TOLERANCE_BPM)):
             true, estimated = truth.get(f"{band}_bpm"), est.get(f"{band}_bpm")
             error, status = _judge(true, estimated, tolerance)
             judged.update({f"{band}_true": true, f"{band}_est": estimated,

@@ -54,6 +54,11 @@ class WaveformSpec:
             )
         if self.num_subcarriers * round(cycles) > self.samples_per_pulse:
             raise ValueError("subcarrier band exceeds the sampled bandwidth")
+        # every subcarrier slot above 0 Hz, so every band's centre and wavelength are positive
+        below_hz = (self.num_subcarriers // 2) * self.subcarrier_spacing_hz
+        if not self.carrier_frequency_hz > below_hz:
+            raise ValueError(f"carrier_frequency_hz must exceed {below_hz:g}, the lowest "
+                             f"subcarrier's offset below it, not {self.carrier_frequency_hz:g}")
 
         if self.active_count is None:
             self.active_count = self.num_subcarriers

@@ -1,6 +1,16 @@
+import math
+
 import pytest
 
-from jcvitals.report import FAIL, MISSED, OK, compare_records, render_table
+from jcvitals.report import (
+    BR_TOLERANCE_BPM,
+    FAIL,
+    HR_TOLERANCE_BPM,
+    MISSED,
+    OK,
+    compare_records,
+    render_table,
+)
 
 
 def rec(sid, tid, br, hr):
@@ -33,15 +43,24 @@ class TestCompare:
     def test_tolerance_violation_fails(self):
         truth = [rec("a", 0, 16.0, 73.0)]
         est = [rec("a", 0, 18.0, 73.0)]
-        rows = compare_records(est, truth, br_tolerance_bpm=1.0)
+        rows = compare_records(est, truth)
         assert rows[0].br_status == FAIL
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
-    @pytest.mark.parametrize("band", ["br", "hr"])
-    def test_bad_tolerance_rejected(self, band, tolerance):
+    @pytest.mark.parametrize("band, tolerance", [("br", BR_TOLERANCE_BPM),
+                                                 ("hr", HR_TOLERANCE_BPM)])
+    def test_an_error_at_the_tolerance_is_ok_and_above_it_fails(self, band, tolerance):
+        # a zero reference keeps each error exact: the estimate is the error
+        assert (BR_TOLERANCE_BPM, HR_TOLERANCE_BPM) == (1.0, 2.0)
+        truth = [rec("a", 0, 0.0, 0.0)]
+        for error, status in ((tolerance, OK), (math.nextafter(tolerance, math.inf), FAIL)):
+            [row] = compare_records([{**truth[0], f"{band}_bpm": error}], truth)
+            assert (getattr(row, f"{band}_error"), getattr(row, f"{band}_status")) == (error, status)
+
+    @pytest.mark.parametrize("keyword", ["br_tolerance_bpm", "hr_tolerance_bpm"])
+    def test_tolerance_is_not_a_keyword(self, keyword):
         records = [rec("a", 0, 16.0, 73.0)]
-        with pytest.raises(ValueError, match=f"{band}_tolerance_bpm must be a finite number"):
-            compare_records(records, records, **{f"{band}_tolerance_bpm": tolerance})
+        with pytest.raises(TypeError, match=keyword):
+            compare_records(records, records, **{keyword: 5.0})
 
     def test_id_mismatch_rejected(self):
         with pytest.raises(ValueError, match="no estimate"):

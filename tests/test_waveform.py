@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,18 @@ class TestSpecValidation:
     def test_rejects_zero_active(self):
         with pytest.raises(ValueError):
             WaveformSpec(num_subcarriers=64, samples_per_pulse=160, active_count=0)
+
+    @pytest.mark.parametrize("num_subcarriers", [64, 65])
+    def test_carrier_must_lie_above_the_lowest_subcarrier(self, num_subcarriers):
+        # the lowest slot sits num_subcarriers // 2 spacings of 1 MHz below the carrier
+        lowest_offset_hz = (num_subcarriers // 2) * 1e6
+        with pytest.raises(ValueError, match="carrier_frequency_hz must exceed"):
+            WaveformSpec(carrier_frequency_hz=lowest_offset_hz, num_subcarriers=num_subcarriers,
+                         samples_per_pulse=160)
+        spec = WaveformSpec(carrier_frequency_hz=math.nextafter(lowest_offset_hz, math.inf),
+                            num_subcarriers=num_subcarriers, samples_per_pulse=160)
+        for count in range(1, num_subcarriers + 1):
+            assert select_subcarriers(spec, count).effective_wavelength_m > 0
 
     def test_effective_carrier_sits_half_spacing_low_for_even_counts(self, default_spec):
         offset = default_spec.effective_carrier_hz - default_spec.carrier_frequency_hz
