@@ -138,20 +138,41 @@ def test_simulate_process_and_report_run_without_scipy(tmp_path):
     assert any(line.startswith("harmonic_confusion ") for line in second.splitlines())
 
 
-@pytest.mark.parametrize("argv", [
-    ["process", "--capture", "cap.jcv", "--export", "phase"],
-    ["report", "--estimates", "est.jsonl", "--truth", "truth.jsonl", "--br-tolerance", "0.5"],
-    ["report", "--estimates", "est.jsonl", "--truth", "truth.jsonl", "--hr-tolerance", "0.5"],
-    ["report", "--estimates", "est.jsonl", "--truth", "truth.jsonl", "--output", "table.txt"],
-], ids=["export", "br-tolerance", "hr-tolerance", "output"])
-def test_retired_option_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("retired", [
+    ["--export", "phase"], ["--export=phase"],
+    ["--br-tolerance", "0.5"], ["--br-tolerance=0.5"], ["--hr-tolerance", "0.5"],
+    ["--output", "table.txt"],
+], ids=["export", "export=", "br-tolerance", "br-tolerance=", "hr-tolerance", "output"])
+def test_retired_option_is_usage_error(tmp_path, capsys, monkeypatch, retired):
     # exports are always the four layouts, and the table is judged at fixed tolerances
     # and printed to stdout only; --export is not read as an abbreviated --export-dir
     monkeypatch.chdir(tmp_path)
+    command = (["process", "--capture", "cap.jcv"] if retired[0].startswith("--export")
+               else ["report", "--estimates", "est.jsonl", "--truth", "truth.jsonl"])
+    code, stdout, stderr = run_cli(capsys, *command, *retired)
+    assert code == 1
+    assert f"usage error: unrecognized arguments: {' '.join(retired)}" in stderr
+    assert stdout == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["simulate", "--conf", "scn.json", "--output", "cap.jcv"],
+     "unrecognized arguments: --conf scn.json"),
+    (["process", "--capture", "cap.jcv", "--estimates", "est.jsonl"],
+     "unrecognized arguments: --estimates est.jsonl"),
+    (["sweep", "--config", "scn.json", "--output", "sweep"],
+     "unrecognized arguments: --output sweep"),
+    (["report", "--est", "est.jsonl", "--truth", "truth.jsonl"],
+     "the following arguments are required: --estimates"),
+], ids=["simulate", "process", "sweep", "report"])
+def test_abbreviated_option_is_usage_error(tmp_path, capsys, monkeypatch, argv, refusal):
+    # every subcommand takes its options only in full, so no prefix stands for one
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 1
-    assert f"usage error: unrecognized arguments: {' '.join(argv[-2:])}" in stderr
-    assert stdout == "" and not any(tmp_path.iterdir())
+    assert f"usage error: {refusal}" in stderr
+    assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["scn.json"]
 
 
 class TestSimulate:

@@ -48,12 +48,13 @@ class TestCompare:
 
     @pytest.mark.parametrize("band, tolerance", [("br", BR_TOLERANCE_BPM),
                                                  ("hr", HR_TOLERANCE_BPM)])
-    def test_an_error_at_the_tolerance_is_ok_and_above_it_fails(self, band, tolerance):
-        # a zero reference keeps each error exact: the estimate is the error
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    def test_an_error_at_the_tolerance_is_ok_and_above_it_fails(self, band, tolerance, sign):
+        # a zero reference keeps each error exact: the estimate is the error, on either side
         assert (BR_TOLERANCE_BPM, HR_TOLERANCE_BPM) == (1.0, 2.0)
         truth = [rec("a", 0, 0.0, 0.0)]
         for error, status in ((tolerance, OK), (math.nextafter(tolerance, math.inf), FAIL)):
-            [row] = compare_records([{**truth[0], f"{band}_bpm": error}], truth)
+            [row] = compare_records([{**truth[0], f"{band}_bpm": sign * error}], truth)
             assert (getattr(row, f"{band}_error"), getattr(row, f"{band}_status")) == (error, status)
 
     @pytest.mark.parametrize("keyword", ["br_tolerance_bpm", "hr_tolerance_bpm"])
