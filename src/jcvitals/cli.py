@@ -41,15 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_scenario_arg(args) -> Scenario:
-    if getattr(args, "config", None):
+def _load_scenario_arg(args) -> Scenario | None:
+    """The scenario of ``--config`` or ``--scenario``, which the parser takes one of
+    at most; None when ``process`` is given neither."""
+    if args.config:
         scenario = load_scenario(args.config)
         if getattr(args, "seed", None) is not None:
             return validate_scenario({**scenario.raw, "seed": args.seed})
         return scenario
-    if getattr(args, "scenario", None):
+    if args.scenario:
         return get_scenario(args.scenario, seed=getattr(args, "seed", None))
-    raise _UsageError("either --scenario or --config is required")
+    return None
 
 
 def _write_manifest(path: Path, scenario: Scenario | None, command: str, extra: dict | None = None):
@@ -150,7 +152,7 @@ def _export_results(result, scenario_id, export_dir: Path, spec):
 
 def cmd_process(args) -> int:
     capture, meta = read_capture(args.capture)
-    scenario = _load_scenario_arg(args) if args.config or args.scenario else None
+    scenario = _load_scenario_arg(args)
     scenario_id = scenario.scenario_id if scenario else Path(args.capture).stem
 
     result = process_capture(capture, config=scenario.processing_config() if scenario else None)
@@ -279,23 +281,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a capture file from a scenario")
-    p.add_argument("--scenario", help="built-in scenario id")
-    p.add_argument("--config", help="scenario config JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario", help="built-in scenario id")
+    source.add_argument("--config", help="scenario config JSON path")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--output", required=True, help="capture file to write")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("process", help="run the receive pipeline on a capture")
     p.add_argument("--capture", required=True)
-    p.add_argument("--scenario", help="built-in scenario id for analysis settings")
-    p.add_argument("--config", help="scenario config JSON for analysis settings")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="built-in scenario id for analysis settings")
+    source.add_argument("--config", help="scenario config JSON for analysis settings")
     p.add_argument("--estimates-out", help="write estimate records (JSON lines) here")
     p.add_argument("--export-dir", help="export every analysis product here as CSV")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("sweep", help="process one scene at several subcarrier counts")
-    p.add_argument("--scenario", help="built-in scenario id")
-    p.add_argument("--config", help="scenario config JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario", help="built-in scenario id")
+    source.add_argument("--config", help="scenario config JSON path")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--counts", type=_counts, default=[10, 40, 1024],
                    help="comma-separated subcarrier counts (default: 10,40,1024)")

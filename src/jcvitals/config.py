@@ -2,16 +2,18 @@
 of simulator/processing objects from a validated config.
 
 All physical quantities carry units in their key names (_hz, _m, _s, _db).
-Unknown keys are rejected.
+Unknown keys are rejected. jsonschema is imported at the first validation, so
+a program that validates no config (``process`` on a capture alone, ``report``,
+``list-scenarios``) never loads it.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
 
-import jsonschema
 import numpy as np
 
 from .channel import ClutterPoint, Scene, SceneTarget
@@ -136,6 +138,25 @@ SCENARIO_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator():
+    """The schema's validator and jsonschema's ``best_match``, built at the first
+    call, since importing jsonschema is a large share of the program's start-up
+    and only a config needs it. Built once: ``jsonschema.validate`` checks the
+    schema itself on every call. An "integer" is an int: the draft's own checker
+    also admits a float such as 3.0, which numpy's seeding, shapes and indexing
+    refuse."""
+    import jsonschema
+    from jsonschema.exceptions import best_match
+
+    validator = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _checker, value: type(value) is int),
+    )(SCENARIO_SCHEMA)
+    return validator, best_match
+
+
 @dataclass
 class Scenario:
     """A validated scenario: waveform, scene recipe and analysis settings."""
@@ -240,16 +261,6 @@ class Scenario:
         return records
 
 
-# built once: ``jsonschema.validate`` checks the schema itself on every call. An
-# "integer" is an int: the draft's own checker also admits a float such as 3.0,
-# which numpy's seeding, shapes and indexing refuse
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _checker, value: type(value) is int),
-)(SCENARIO_SCHEMA)
-
-
 def _non_finite(value, path: str = ""):
     """(key path, number) for each NaN or infinite float in a JSON-like ``value``;
     the schema's "number" admits them."""
@@ -263,8 +274,9 @@ def _non_finite(value, path: str = ""):
 def validate_scenario(config: dict) -> Scenario:
     for path, number in _non_finite(config):
         raise ConfigError(f"at {path}: {number} is not a finite number")
+    validator, best_match = _validator()
     # the error ``jsonschema.validate`` raises: the most relevant of them all
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    error = best_match(validator.iter_errors(config))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"at {path}: {error.message}") from error

@@ -3,9 +3,9 @@
 Range power is read from the frames, every band of a subcarrier sweep in one
 pass; no N x A transfer or N x P impulse response is held. The pass hands
 ``_split_blocks`` the factory of each worker's buffers: one for a block's
-spectra, at the frames' precision, and one complex128 buffer for each band's
-grid in turn, so a block allocates only its power sums once the first has
-run."""
+spectra, at the frames' precision, and one complex128 buffer holding every
+band's grid side by side, so a block allocates only its power sums once the
+first has run."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -76,9 +76,10 @@ def range_profiles(
     R[d] = sum_n sum_a z_n[a+d] conj(z_n[a]); b0 cancels. One FFT of each
     block's frames gives every band its bins, gathered into columns 0..A-1 of
     a zero-filled complex128 m-point grid, m the smallest 11-smooth length
-    >= 2A-1, multiplied by the band's weights (``_band_weights``: taps over
-    reference) and inverse-transformed. Their |.|^2,
-    summed in frame order, is the m-point DFT of R with the lags taken mod m:
+    >= 2A-1. The bands' grids lie side by side in one buffer, multiplied at
+    once by their weights (``_band_weights``: taps over reference), each
+    inverse-transformed in place, and reduced to |.|^2 at once. Those sums,
+    added in frame order, are the m-point DFT of R with the lags taken mod m:
     exact, since m >= 2A-1 puts the 2A-1 lags on distinct residues. Lag d is
     added into bin (g d) mod P, where lags collide when 2A-1 > P/g, and one
     P-point inverse DFT gives the power, clamped at 0.
@@ -90,35 +91,42 @@ def range_profiles(
     bands = [series.narrowed(spec) for spec in specs]  # raises unless each is nested
     if not bands:
         return []
-    plans = []  # per band: its two slices of the spectra, width, grid length and weights
+    plans = []  # per band: its grid's offset, its two slices of the spectra, width and grid length
+    offset, weights = 0, []
     for band in bands:
         count = band.spec.active_count
-        plans.append((*_band_slices(band.spec), count, _fast_length(2 * count - 1),
-                      band._band_weights()))
-    p, longest = series.spec.samples_per_pulse, max(m for *_, m, _ in plans)
+        m = _fast_length(2 * count - 1)
+        plans.append((offset, *_band_slices(band.spec), count, m))
+        weights += [band._band_weights(), np.zeros(m - count)]
+        offset += m
+    p, width = series.spec.samples_per_pulse, offset
+    # every band's weights side by side, zero on the pads, ending at the last band's count
+    weights = np.concatenate(weights[:-1])
 
     def block(start, stop, spectra, flat):
         rows = stop - start
         spectra = np.fft.fft(series.frames[start:stop], axis=1, norm="ortho", out=spectra[:rows])
-        powers = []
-        for split, below, above, count, m, weights in plans:
-            z = flat[: rows * m].reshape(rows, m)
-            z[:, :split] = spectra[:, below]
-            z[:, split:count] = spectra[:, above]
-            z[:, count:] = 0.0
-            for row in z[:, :count]:  # a row at a time: numpy buffers a broadcast 2-D operand
-                row *= weights
-            powers.append(_block_power(np.fft.ifft(z, axis=1, out=z)))
-        return powers
+        z = flat[: rows * width].reshape(rows, width)
+        for at, split, below, above, count, m in plans:
+            z[:, at : at + split] = spectra[:, below]
+            z[:, at + split : at + count] = spectra[:, above]
+            z[:, at + count : at + m] = 0.0
+        for row in z[:, : weights.size]:  # a row at a time: numpy buffers a broadcast 2-D operand
+            row *= weights
+        for at, *_, m in plans:
+            grid = z[:, at : at + m]
+            np.fft.ifft(grid, axis=1, out=grid)
+        return _block_power(z)
 
     # each worker's buffers: a block's spectra at the frames' precision, and one complex128
-    # buffer holding each band's grid in turn
+    # buffer holding every band's grid side by side
     blocks = _split_blocks(series.n_frames, block,
                            lambda: (np.empty((_CHUNK_FRAMES, p), dtype=series.dtype),
-                                    np.empty(_CHUNK_FRAMES * longest, dtype=complex)))
-    # each band's block sums added in frame order, as one serial pass adds them
-    return [_profiles(band.spec, series.n_frames, sum(powers[i] for powers in blocks),
-                      cable_offset_m) for i, band in enumerate(bands)]
+                                    np.empty(_CHUNK_FRAMES * width, dtype=complex)))
+    # the block sums added in frame order, as one serial pass adds them, then split by band
+    total = sum(blocks)
+    return [_profiles(band.spec, series.n_frames, total[at : at + m], cable_offset_m)
+            for band, (at, *_, m) in zip(bands, plans)]
 
 
 def _profiles(spec, n_frames: int, spectrum: np.ndarray, cable_offset_m: float) -> RangeProfileSeries:

@@ -92,6 +92,19 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_program_leaves_jsonschema_unloaded():
+    # only a config's validation imports it: not the CLI, nor perfbench's program modules
+    src = str(Path(jcvitals.__file__).resolve().parent.parent)
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); import run, jcvitals.cli; "
+             "[importlib.import_module(m) for m in run.PROGRAM_MODULES]; "
+             "print(len(run.PROGRAM_MODULES), 'jsonschema' in sys.modules)")
+    out = subprocess.run([sys.executable, "-B", "-c", probe, perfbench], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["5", "False"]
+
+
 # runs CLI commands in a fresh interpreter in which any scipy import raises ImportError
 _WITHOUT_SCIPY = """
 import json, sys
@@ -138,6 +151,30 @@ def test_simulate_process_and_report_run_without_scipy(tmp_path):
     assert any(line.startswith("harmonic_confusion ") for line in second.splitlines())
 
 
+# the same, with jsonschema in place of scipy
+_WITHOUT_JSONSCHEMA = _WITHOUT_SCIPY.replace('"scipy"', '"jsonschema"')
+
+
+def test_commands_that_read_no_config_run_without_jsonschema(tmp_path, capsys):
+    # a capture alone, records and the built-in list need no schema
+    cap, est, truth = (tmp_path / name for name in ("sitting_still_2m.jcv", "est.jsonl",
+                                                     "truth.jsonl"))
+    code = run_cli(capsys, "simulate", "--scenario", "sitting_still_2m", "--output", str(cap))[0]
+    assert code == 0
+    truth.write_text("".join(json.dumps(r) + "\n"
+                             for r in get_scenario("sitting_still_2m").ground_truth()))
+    commands = [["process", "--capture", str(cap), "--estimates-out", str(est)],
+                ["report", "--estimates", str(est), "--truth", str(truth)],
+                ["list-scenarios"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(jcvitals.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_JSONSCHEMA, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    table, listing = out.stdout.split("\n1 rows: ")
+    assert any(line.startswith("sitting_still_2m ") for line in table.splitlines())
+    assert "two_persons" in listing
+
+
 @pytest.mark.parametrize("retired", [
     ["--export", "phase"], ["--export=phase"],
     ["--br-tolerance", "0.5"], ["--br-tolerance=0.5"], ["--hr-tolerance", "0.5"],
@@ -156,7 +193,7 @@ def test_retired_option_is_usage_error(tmp_path, capsys, monkeypatch, retired):
 
 
 @pytest.mark.parametrize("argv, refusal", [
-    (["simulate", "--conf", "scn.json", "--output", "cap.jcv"],
+    (["simulate", "--scenario", "sitting_still_2m", "--conf", "scn.json", "--output", "cap.jcv"],
      "unrecognized arguments: --conf scn.json"),
     (["process", "--capture", "cap.jcv", "--estimates", "est.jsonl"],
      "unrecognized arguments: --estimates est.jsonl"),
@@ -172,6 +209,22 @@ def test_abbreviated_option_is_usage_error(tmp_path, capsys, monkeypatch, argv, 
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 1
     assert f"usage error: {refusal}" in stderr
+    assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["scn.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--output", "cap.jcv"],
+    ["process", "--capture", "cap.jcv", "--estimates-out", "est.jsonl"],
+    ["sweep", "--counts", "40,1024"],
+], ids=["simulate", "process", "sweep"])
+def test_scenario_and_config_together_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # one source for the scenario: neither flag is silently dropped for the other
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    code, stdout, stderr = run_cli(capsys, *argv, "--scenario", "sitting_still_2m",
+                                   "--config", "scn.json")
+    assert code == 1
+    assert "usage error: argument --config: not allowed with argument --scenario" in stderr
     assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["scn.json"]
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from jcvitals.channel import Scene, SceneTarget
-from jcvitals.config import SCENARIO_SCHEMA, ConfigError, config_digest, load_scenario, validate_scenario
+from jcvitals.config import (SCENARIO_SCHEMA, ConfigError, _validator, config_digest, load_scenario,
+                             validate_scenario)
 from jcvitals.pipeline import ProcessingConfig
 from jcvitals.scenarios import describe_scenarios, get_scenario, scenario_ids
 from jcvitals.vitals import VitalsConfig
@@ -141,6 +142,14 @@ class TestValidation:
                 validate_scenario(config)
         with pytest.raises(TypeError, match=key):
             owner(**{key: value})
+
+    def test_validator_is_built_once(self):
+        # built at the first validation, which imports jsonschema, and reused after
+        _validator.cache_clear()
+        validate_scenario(minimal_config())
+        validate_scenario(minimal_config(seed=6))
+        info = _validator.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
